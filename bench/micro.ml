@@ -16,11 +16,14 @@ let crypto_tests () =
   let rsa = Rsa.generate ~bits:512 rng in
   let signature = Rsa.sign rsa "msg" in
   let aead_key = Drbg.bytes rng 16 in
+  let aead = Speck.Aead.of_key aead_key in
   [ Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> Sha256.digest kb));
     Test.make ~name:"hmac-1KiB" (Staged.stage (fun () -> Hmac.mac ~key:"k" kb));
     Test.make ~name:"aead-seal-1KiB"
       (Staged.stage (fun () ->
            Speck.Aead.encrypt ~key:aead_key ~nonce:"12345678" ~ad:"" kb));
+    Test.make ~name:"aead-seal-1KiB-keyed"
+      (Staged.stage (fun () -> Speck.Aead.seal aead ~nonce:"12345678" ~ad:"" kb));
     Test.make ~name:"rsa512-sign" (Staged.stage (fun () -> Rsa.sign rsa "msg"));
     Test.make ~name:"rsa512-verify"
       (Staged.stage (fun () -> Rsa.verify rsa.Rsa.pub ~signature "msg")) ]

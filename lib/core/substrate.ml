@@ -124,6 +124,20 @@ let lifecycle ?dead ?(teardown = fun _ -> ()) () =
   let revive name = Hashtbl.remove dead name in
   (crash, is_alive, revive)
 
+(* Seal-key contexts by component, built on first use and kept. A context
+   is a pure function of the secret its key derives from (a fused device
+   key), so the cache sits outside every snapshot and a restore needs
+   nothing from it; a secret other than the cached one rebuilds it. *)
+let seal_contexts () =
+  let cache : (string, string * Lt_crypto.Speck.Aead.ctx) Hashtbl.t = Hashtbl.create 8 in
+  fun ~comp ~secret derive ->
+    match Hashtbl.find_opt cache comp with
+    | Some (s, aead) when String.equal s secret -> aead
+    | Some _ | None ->
+      let aead = Lt_crypto.Speck.Aead.of_key (derive secret) in
+      Hashtbl.replace cache comp (secret, aead);
+      aead
+
 (* Shared snapshot plumbing for adapter authors: every adapter owns a
    dead-set, and most keep per-launch KV tables in a name-keyed
    registry.  [extra_take]/[extra_digest] cover whatever else the

@@ -149,6 +149,14 @@ val lifecycle :
   ?teardown:(component -> unit) -> unit ->
   (component -> unit) * (component -> bool) * (string -> unit)
 
+(** [seal_contexts ()] is a per-adapter cache of seal-key AEAD contexts:
+    [get ~comp ~secret derive] returns the context for [comp], building
+    it from [derive secret] the first time, or again if [secret] differs
+    from the one it was built from. The cache is not snapshot state: a
+    context is a pure function of its secret. *)
+val seal_contexts :
+  unit -> comp:string -> secret:string -> (string -> string) -> Lt_crypto.Speck.Aead.ctx
+
 (** [adapter_layer ~name ~dead ~tables ()] — the shared snapshot layer
     shape for adapter authors: captures the dead-set and the per-launch
     KV-table registry; [extra_take] adds more capture thunks and

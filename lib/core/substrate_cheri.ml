@@ -46,8 +46,10 @@ let make rng ~size () =
       in
       next_off := !next_off + compartment_bytes;
       let measurement = measure_code code in
-      let seal_key =
-        Hkdf.derive ~secret:session_secret ~salt:"cheri-seal" ~info:measurement 16
+      let seal =
+        lazy
+          (Speck.Aead.of_key
+             (Hkdf.derive ~secret:session_secret ~salt:"cheri-seal" ~info:measurement 16))
       in
       let table : (string, string) Hashtbl.t = Hashtbl.create 8 in
       Hashtbl.replace tables name table;
@@ -65,12 +67,9 @@ let make rng ~size () =
         { Substrate.f_seal =
             (fun data ->
               let nonce = String.sub (Sha256.digest data) 0 Speck.nonce_size in
-              Speck.Aead.to_wire
-                (Speck.Aead.encrypt ~key:seal_key ~nonce ~ad:"cheri-seal" data));
+              Speck.Aead.seal_wire (Lazy.force seal) ~nonce ~ad:"cheri-seal" data);
           f_unseal =
-            (fun wire ->
-              Option.bind (Speck.Aead.of_wire wire)
-                (Speck.Aead.decrypt ~key:seal_key ~ad:"cheri-seal"));
+            (fun wire -> Speck.Aead.open_wire (Lazy.force seal) ~ad:"cheri-seal" wire);
           f_store =
             (fun ~key data ->
               Hashtbl.replace table key data;

@@ -81,30 +81,26 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
       if String.length blob <= store_pages * Lt_hw.Mmu.page_size then
         User.mem_write ~vaddr:0 blob
     in
-    let seal_key =
-      match tpm with
-      | Some _ -> None (* TPM-backed, below *)
-      | None -> Some (Hkdf.derive ~secret:session_secret ~salt:"mk-seal" ~info:measurement 16)
+    (* without a TPM the seal key is derived from the measurement, once,
+       on the first seal; with one, sealing is bound to the PCRs *)
+    let seal =
+      lazy
+        (Speck.Aead.of_key
+           (Hkdf.derive ~secret:session_secret ~salt:"mk-seal" ~info:measurement 16))
     in
     let facilities =
       { Substrate.f_seal =
           (fun data ->
-            match (tpm, seal_key) with
-            | Some tpm, _ ->
-              Tpm.sealed_to_wire (Tpm.seal tpm ~selection:[ boot_pcr ] data)
-            | None, Some key ->
+            match tpm with
+            | Some tpm -> Tpm.sealed_to_wire (Tpm.seal tpm ~selection:[ boot_pcr ] data)
+            | None ->
               let nonce = String.sub (Sha256.digest (name ^ data)) 0 Speck.nonce_size in
-              Speck.Aead.to_wire (Speck.Aead.encrypt ~key ~nonce ~ad:"mk-seal" data)
-            | None, None -> assert false);
+              Speck.Aead.seal_wire (Lazy.force seal) ~nonce ~ad:"mk-seal" data);
         f_unseal =
           (fun wire ->
-            match (tpm, seal_key) with
-            | Some tpm, _ ->
-              Option.bind (Tpm.sealed_of_wire wire) (Tpm.unseal tpm)
-            | None, Some key ->
-              Option.bind (Speck.Aead.of_wire wire)
-                (Speck.Aead.decrypt ~key ~ad:"mk-seal")
-            | None, None -> assert false);
+            match tpm with
+            | Some tpm -> Option.bind (Tpm.sealed_of_wire wire) (Tpm.unseal tpm)
+            | None -> Speck.Aead.open_wire (Lazy.force seal) ~ad:"mk-seal" wire);
         f_store =
           (fun ~key data ->
             Hashtbl.replace table key data;

@@ -37,8 +37,10 @@ let make rng ~ca_name ~ca_key ~tiles () =
       let tile = !next_tile in
       incr next_tile;
       let measurement = measure_code code in
-      let seal_key =
-        Hkdf.derive ~secret:session_secret ~salt:"m3-seal" ~info:measurement 16
+      let seal =
+        lazy
+          (Speck.Aead.of_key
+             (Hkdf.derive ~secret:session_secret ~salt:"m3-seal" ~info:measurement 16))
       in
       let table : (string, string) Hashtbl.t = Hashtbl.create 8 in
       Hashtbl.replace tables name table;
@@ -55,12 +57,9 @@ let make rng ~ca_name ~ca_key ~tiles () =
         { Substrate.f_seal =
             (fun data ->
               let nonce = String.sub (Sha256.digest data) 0 Speck.nonce_size in
-              Speck.Aead.to_wire
-                (Speck.Aead.encrypt ~key:seal_key ~nonce ~ad:"m3-seal" data));
+              Speck.Aead.seal_wire (Lazy.force seal) ~nonce ~ad:"m3-seal" data);
           f_unseal =
-            (fun wire ->
-              Option.bind (Speck.Aead.of_wire wire)
-                (Speck.Aead.decrypt ~key:seal_key ~ad:"m3-seal"));
+            (fun wire -> Speck.Aead.open_wire (Lazy.force seal) ~ad:"m3-seal" wire);
           f_store =
             (fun ~key data ->
               Hashtbl.replace table key data;

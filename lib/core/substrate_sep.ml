@@ -19,18 +19,17 @@ let measure_code code = Sha256.digest ("sep-service|" ^ code)
 let make machine rng ~device_id ~private_pages =
   let sep = Sep.attach machine rng ~private_pages in
   let measurements : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  let seal_context = Substrate.seal_contexts () in
   let facilities ctx ~comp =
+    let aead () =
+      seal_context ~comp ~secret:(Sep.uid_key ctx) (fun _ ->
+          Sep.derive ctx ~info:("seal|" ^ comp) 16)
+    in
     { Substrate.f_seal =
         (fun data ->
-          let key = Sep.derive ctx ~info:("seal|" ^ comp) 16 in
           let nonce = String.sub (Sha256.digest (comp ^ data)) 0 Speck.nonce_size in
-          Speck.Aead.to_wire (Speck.Aead.encrypt ~key ~nonce ~ad:"sep-seal" data));
-      f_unseal =
-        (fun wire ->
-          let key = Sep.derive ctx ~info:("seal|" ^ comp) 16 in
-          match Speck.Aead.of_wire wire with
-          | None -> None
-          | Some box -> Speck.Aead.decrypt ~key ~ad:"sep-seal" box);
+          Speck.Aead.seal_wire (aead ()) ~nonce ~ad:"sep-seal" data);
+      f_unseal = (fun wire -> Speck.Aead.open_wire (aead ()) ~ad:"sep-seal" wire);
       f_store = (fun ~key data -> Sep.store ctx ~key data);
       f_load = (fun ~key -> Sep.load ctx ~key) }
   in
@@ -93,7 +92,7 @@ let make machine rng ~device_id ~private_pages =
     in
     let body = Attestation.signed_body ev_no_tag in
     Sep.register_service sep ~name:"__lt_attest" (fun ctx arg ->
-        Hmac.mac ~key:(Sep.uid_key ctx) arg);
+        Sep.uid_mac ctx arg);
     match Sep.mailbox_call sep ~service:"__lt_attest" body with
     | Error e -> Error e
     | Ok tag ->

@@ -18,22 +18,22 @@ let make machine ~vendor ~image ~device_id ~device_key_name ~secure_pages =
   match Trustzone.boot tz ~image with
   | Error e -> Error e
   | Ok world_measurement ->
+    let seal_context = Substrate.seal_contexts () in
     let facilities ctx ~comp =
-      let seal_key =
+      let device_key =
         match Trustzone.fuse_read ctx ~name:device_key_name with
-        | Some k -> Hkdf.derive ~secret:k ~salt:"tz-seal" ~info:comp 16
+        | Some k -> k
         | None -> invalid_arg "trustzone: device key not fused"
+      in
+      let aead () =
+        seal_context ~comp ~secret:device_key (fun k ->
+            Hkdf.derive ~secret:k ~salt:"tz-seal" ~info:comp 16)
       in
       { Substrate.f_seal =
           (fun data ->
             let nonce = String.sub (Sha256.digest (comp ^ data)) 0 Speck.nonce_size in
-            Speck.Aead.to_wire
-              (Speck.Aead.encrypt ~key:seal_key ~nonce ~ad:"tz-seal" data));
-        f_unseal =
-          (fun wire ->
-            match Speck.Aead.of_wire wire with
-            | None -> None
-            | Some box -> Speck.Aead.decrypt ~key:seal_key ~ad:"tz-seal" box);
+            Speck.Aead.seal_wire (aead ()) ~nonce ~ad:"tz-seal" data);
+        f_unseal = (fun wire -> Speck.Aead.open_wire (aead ()) ~ad:"tz-seal" wire);
         f_store = (fun ~key data -> Trustzone.store ctx ~key data);
         f_load = (fun ~key -> Trustzone.load ctx ~key) }
     in

@@ -11,6 +11,11 @@ val digest_size : int
 (** [init ()] is a fresh hashing context. *)
 val init : unit -> ctx
 
+(** [copy ctx] is an independent context in the same state: feeding
+    either leaves the other as it was. {!Hmac} keeps its key pads
+    absorbed in a context and copies it per message. *)
+val copy : ctx -> ctx
+
 (** [feed ctx s] absorbs [s]. *)
 val feed : ctx -> string -> unit
 

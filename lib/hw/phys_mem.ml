@@ -21,7 +21,9 @@ type mee = {
   mee_base : int;
   mee_size : int;
   enc_key : string;
-  mac_key : string;
+  mac_key : Hmac.prepared;
+      (* the block-MAC key's pads, absorbed once at install: a pure
+         function of the engine key, like [ks_memo] below *)
   macs : (int, string) Hashtbl.t; (* block index -> tag, held on-chip *)
   ks_memo : (int, string) Hashtbl.t;
       (* per-block keystream is a pure function of the fixed engine key,
@@ -87,7 +89,7 @@ let keystream m block_index =
     ks
 
 let block_mac m block_index ciphertext =
-  Hmac.mac ~key:m.mac_key (Printf.sprintf "%d|" block_index ^ ciphertext)
+  Hmac.mac_with m.mac_key [ Printf.sprintf "%d|" block_index; ciphertext ]
 
 let raw_block t m block_index =
   let addr = m.mee_base + (block_index * block_size) in
@@ -126,7 +128,7 @@ let install_mee t ~base ~size ~key =
     { mee_base = base;
       mee_size = size;
       enc_key = Hkdf.derive ~secret:key ~salt:"mee" ~info:"enc" 32;
-      mac_key = Hkdf.derive ~secret:key ~salt:"mee" ~info:"mac" 32;
+      mac_key = Hmac.prepare (Hkdf.derive ~secret:key ~salt:"mee" ~info:"mac" 32);
       macs = Hashtbl.create 64;
       ks_memo = Hashtbl.create 64 }
   in

@@ -1,11 +1,24 @@
 open Lt_crypto
 
+(* the key strings stay for the record nonces and the exporter; the AEAD
+   contexts are derived from them once, at the handshake, and are pure
+   caches of them *)
 type session = {
   send_key : string;
   recv_key : string;
+  send_aead : Speck.Aead.ctx;
+  recv_aead : Speck.Aead.ctx;
   mutable seq_send : int;
   mutable seq_recv : int;
 }
+
+let keyed_session ~send_key ~recv_key =
+  { send_key;
+    recv_key;
+    send_aead = Speck.Aead.of_key send_key;
+    recv_aead = Speck.Aead.of_key recv_key;
+    seq_send = 0;
+    seq_recv = 0 }
 
 let derive_keys ~pms ~nonce_c ~nonce_s =
   let prk = Hkdf.extract ~salt:(nonce_c ^ nonce_s) pms in
@@ -18,35 +31,27 @@ let derive_keys ~pms ~nonce_c ~nonce_s =
 let record_nonce key seq =
   String.sub (Sha256.digest (Printf.sprintf "%s|%d" key seq)) 0 Speck.nonce_size
 
-let seal_record ~key ~seq plaintext =
-  let box =
-    Speck.Aead.encrypt ~key ~nonce:(record_nonce key seq)
+let send s plaintext =
+  let seq = s.seq_send in
+  let wire =
+    Speck.Aead.seal_wire s.send_aead ~nonce:(record_nonce s.send_key seq)
       ~ad:(Printf.sprintf "rec|%d" seq) plaintext
   in
-  Wire.tagged "record" [ Speck.Aead.to_wire box ]
+  s.seq_send <- seq + 1;
+  Wire.tagged "record" [ wire ]
 
-let open_record ~key ~seq msg =
+let receive s msg =
   match Wire.untag msg with
   | Some ("record", [ wire ]) ->
     (match Speck.Aead.of_wire wire with
      | None -> Error "malformed record"
      | Some box ->
-       (match Speck.Aead.decrypt ~key ~ad:(Printf.sprintf "rec|%d" seq) box with
-        | Some plaintext -> Ok plaintext
+       (match Speck.Aead.open_ s.recv_aead ~ad:(Printf.sprintf "rec|%d" s.seq_recv) box with
+        | Some plaintext ->
+          s.seq_recv <- s.seq_recv + 1;
+          Ok plaintext
         | None -> Error "record authentication failed (tamper, replay or reorder)"))
   | _ -> Error "not a record"
-
-let send s plaintext =
-  let r = seal_record ~key:s.send_key ~seq:s.seq_send plaintext in
-  s.seq_send <- s.seq_send + 1;
-  r
-
-let receive s msg =
-  match open_record ~key:s.recv_key ~seq:s.seq_recv msg with
-  | Ok plaintext ->
-    s.seq_recv <- s.seq_recv + 1;
-    Ok plaintext
-  | Error _ as e -> e
 
 let exporter s =
   (* order the two directional keys so client and server agree *)
@@ -96,8 +101,7 @@ module Server = struct
          end
          else begin
            let fin_s = Hmac.mac ~key:fin_sk (transcript ^ fin_c) in
-           t.state <-
-             Established { send_key = s2c; recv_key = c2s; seq_send = 0; seq_recv = 0 };
+           t.state <- Established (keyed_session ~send_key:s2c ~recv_key:c2s);
            Ok (Some (Wire.tagged "finished" [ fin_s ]))
          end)
     | Failed, _ -> Error "handshake already failed"
@@ -174,8 +178,7 @@ module Client = struct
         Error "server finished verification failed"
       end
       else begin
-        t.state <-
-          Established { send_key = c2s; recv_key = s2c; seq_send = 0; seq_recv = 0 };
+        t.state <- Established (keyed_session ~send_key:c2s ~recv_key:s2c);
         Ok None
       end
     | Failed, _ -> Error "handshake already failed"

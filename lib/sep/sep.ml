@@ -8,6 +8,7 @@ type t = {
   base : int;
   size : int;
   uid : string;
+  uid_mac : Hmac.prepared;  (* [uid]'s HMAC pads, absorbed once *)
   services : (string, handler) Hashtbl.t;
   kv : (string * string, string) Hashtbl.t;
   mutable calls : int;
@@ -41,6 +42,7 @@ let attach machine rng ~private_pages =
       base;
       size;
       uid;
+      uid_mac = Hmac.prepare uid;
       services = Hashtbl.create 8;
       kv = Hashtbl.create 16;
       calls = 0 }
@@ -80,6 +82,8 @@ let private_range t = (t.base, t.size)
 let provisioning_record t = t.uid
 
 let uid_key ctx = ctx.sep.uid
+
+let uid_mac ctx msg = Hmac.mac_with ctx.sep.uid_mac [ msg ]
 
 let store ctx ~key data =
   Hashtbl.replace ctx.sep.kv (ctx.svc, key) data;

@@ -47,6 +47,10 @@ val provisioning_record : t -> string
 (** [uid_key ctx] is the fused per-device secret — never exported. *)
 val uid_key : ctx -> string
 
+(** [uid_mac ctx msg] = [Hmac.mac ~key:(uid_key ctx) msg], from the UID
+    key's HMAC pads, which the SEP absorbs once at {!attach}. *)
+val uid_mac : ctx -> string -> string
+
 (** [store ctx ~key data] / [load ctx ~key] persist into the SEP's
     private DRAM (physically ciphertext on the bus). *)
 val store : ctx -> key:string -> string -> unit

@@ -26,6 +26,9 @@ and enclave = {
   e_size : int;
   ecall_table : (string, ecall_handler) Hashtbl.t;
   e_cpu : cpu;
+  e_seal : Speck.Aead.ctx Lazy.t;
+      (* seal-key context, derived on the first seal: a pure function of
+         the fused secret and the measurement, so no snapshot holds it *)
   mutable e_alive : bool;
 }
 
@@ -87,6 +90,10 @@ let create_enclave cpu ~name ~code ~epc_pages ~ecalls =
         e_size = size;
         ecall_table = table;
         e_cpu = cpu;
+        e_seal =
+          lazy
+            (Speck.Aead.of_key
+               (Hkdf.derive ~secret:cpu.master_secret ~salt:"sgx-seal" ~info:measurement 16));
         e_alive = true }
     in
     Hashtbl.replace (Lazy.force cpu.live) e.e_id e;
@@ -136,20 +143,15 @@ let mem_read ctx ~off ~len =
   if off < 0 || off + len > e.e_size then invalid_arg "Sgx.mem_read: outside EPC";
   Phys_mem.cpu_read e.e_cpu.machine.Machine.mem ~addr:(e.e_base + off) ~len
 
-let seal_key e =
-  Hkdf.derive ~secret:e.e_cpu.master_secret ~salt:"sgx-seal" ~info:e.e_measurement 16
-
 let seal ctx data =
   let e = ctx.enclave in
   let nonce =
     String.sub (Sha256.digest (string_of_int e.e_id ^ data)) 0 Speck.nonce_size
   in
-  Speck.Aead.to_wire (Speck.Aead.encrypt ~key:(seal_key e) ~nonce ~ad:"sgx-seal" data)
+  Speck.Aead.seal_wire (Lazy.force e.e_seal) ~nonce ~ad:"sgx-seal" data
 
 let unseal ctx wire =
-  match Speck.Aead.of_wire wire with
-  | None -> None
-  | Some box -> Speck.Aead.decrypt ~key:(seal_key ctx.enclave) ~ad:"sgx-seal" box
+  Speck.Aead.open_wire (Lazy.force ctx.enclave.e_seal) ~ad:"sgx-seal" wire
 
 let cache_touch ctx addr =
   let e = ctx.enclave in

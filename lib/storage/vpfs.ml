@@ -8,6 +8,9 @@ let journal_path = ".vpfs-journal"
 
 type entry = {
   file_key : string;
+  file_aead : Speck.Aead.ctx Lazy.t;
+      (* derived from [file_key] on first use: a cache that no snapshot
+         or digest reads *)
   version : int;
   plain_size : int;
   chunks : int;
@@ -20,6 +23,8 @@ type error =
 
 type t = {
   master_key : string;
+  meta_aead : Speck.Aead.ctx;     (* caches of keys derived from [master_key] *)
+  journal_aead : Speck.Aead.ctx;
   fs : Legacy_fs.t;
   table : (string, entry) Hashtbl.t;
   rng : Drbg.t;
@@ -43,18 +48,18 @@ let serialize_table t =
   in
   Wire.encode (List.sort Stdlib.compare entries)
 
-let meta_key master_key = Hkdf.derive ~secret:master_key ~salt:"vpfs" ~info:"meta" 16
+let meta_aead master_key =
+  Speck.Aead.of_key (Hkdf.derive ~secret:master_key ~salt:"vpfs" ~info:"meta" 16)
 
-let journal_key master_key =
-  Hkdf.derive ~secret:master_key ~salt:"vpfs" ~info:"journal" 16
+let journal_aead master_key =
+  Speck.Aead.of_key (Hkdf.derive ~secret:master_key ~salt:"vpfs" ~info:"journal" 16)
 
 (* encrypt the current table once; the same bytes go to the journal
    record and to the metadata file so the redo is exact *)
 let encrypt_meta t =
   let plain = serialize_table t in
   let nonce = Drbg.bytes t.rng Speck.nonce_size in
-  Speck.Aead.to_wire
-    (Speck.Aead.encrypt ~key:(meta_key t.master_key) ~nonce ~ad:"vpfs-meta" plain)
+  Speck.Aead.seal_wire t.meta_aead ~nonce ~ad:"vpfs-meta" plain
 
 let must_write fs path data =
   match Legacy_fs.write fs path data with
@@ -84,21 +89,16 @@ let seal_journal t r =
       [ r.j_op; r.j_pre_root; r.j_post_root; r.j_path; r.j_file_wire; r.j_meta_wire ]
   in
   let nonce = Drbg.bytes t.rng Speck.nonce_size in
-  Speck.Aead.to_wire
-    (Speck.Aead.encrypt ~key:(journal_key t.master_key) ~nonce ~ad:"vpfs-journal"
-       plain)
+  Speck.Aead.seal_wire t.journal_aead ~nonce ~ad:"vpfs-journal" plain
 
-let open_journal ~master_key wire =
-  match Speck.Aead.of_wire wire with
+let open_journal journal_aead wire =
+  match Speck.Aead.open_wire journal_aead ~ad:"vpfs-journal" wire with
   | None -> None
-  | Some box ->
-    (match Speck.Aead.decrypt ~key:(journal_key master_key) ~ad:"vpfs-journal" box with
-     | None -> None
-     | Some plain ->
-       (match Wire.decode plain with
-        | Some [ j_op; j_pre_root; j_post_root; j_path; j_file_wire; j_meta_wire ] ->
-          Some { j_op; j_pre_root; j_post_root; j_path; j_file_wire; j_meta_wire }
-        | _ -> None))
+  | Some plain ->
+    (match Wire.decode plain with
+     | Some [ j_op; j_pre_root; j_post_root; j_path; j_file_wire; j_meta_wire ] ->
+       Some { j_op; j_pre_root; j_post_root; j_path; j_file_wire; j_meta_wire }
+     | _ -> None)
 
 (* journal first, then data, then metadata, then clear: a crash anywhere
    leaves either the old state (journal explains nothing yet) or enough
@@ -116,7 +116,7 @@ let commit t record =
   t.root_digest <- record.j_post_root;
   must_write t.fs journal_path ""
 
-let load_meta ~master_key ~expected_root fs =
+let load_meta meta_aead ~expected_root fs =
   match Legacy_fs.read fs meta_path with
   | Error e -> Error (Backend e)
   | Ok wire ->
@@ -126,7 +126,7 @@ let load_meta ~master_key ~expected_root fs =
       (match Speck.Aead.of_wire wire with
        | None -> Error (Integrity "metadata framing corrupt")
        | Some box ->
-         (match Speck.Aead.decrypt ~key:(meta_key master_key) ~ad:"vpfs-meta" box with
+         (match Speck.Aead.open_ meta_aead ~ad:"vpfs-meta" box with
           | None -> Error (Integrity "metadata authentication failed")
           | Some plain ->
             (match Wire.decode plain with
@@ -146,7 +146,13 @@ let load_meta ~master_key ~expected_root fs =
                     with
                     | Some version, Some plain_size, Some chunks
                       when version >= 0 && plain_size >= 0 && chunks >= 0 ->
-                      Ok (path, { file_key; version; plain_size; chunks })
+                      Ok
+                        ( path,
+                          { file_key;
+                            file_aead = lazy (Speck.Aead.of_key file_key);
+                            version;
+                            plain_size;
+                            chunks } )
                     | _ -> Error (Integrity "metadata entry has unreadable fields"))
                  | _ -> Error (Integrity "metadata entry decode failed")
                in
@@ -164,6 +170,8 @@ let load_meta ~master_key ~expected_root fs =
 let create ~master_key fs =
   let t =
     { master_key;
+      meta_aead = meta_aead master_key;
+      journal_aead = journal_aead master_key;
       fs;
       table = Hashtbl.create 16;
       rng = Drbg.create (Int64.of_int (Hashtbl.hash master_key));
@@ -173,11 +181,14 @@ let create ~master_key fs =
   t
 
 let open_ ~master_key ~expected_root fs =
-  match load_meta ~master_key ~expected_root fs with
+  let meta_aead = meta_aead master_key in
+  match load_meta meta_aead ~expected_root fs with
   | Error e -> Error e
   | Ok table ->
     Ok
       { master_key;
+        meta_aead;
+        journal_aead = journal_aead master_key;
         fs;
         table;
         rng = Drbg.create (Int64.of_int (Hashtbl.hash (master_key ^ "reopen")));
@@ -186,7 +197,7 @@ let open_ ~master_key ~expected_root fs =
 let open_recover ~master_key ~expected_root fs =
   let pending_journal =
     match Legacy_fs.read fs journal_path with
-    | Ok wire when wire <> "" -> open_journal ~master_key wire
+    | Ok wire when wire <> "" -> open_journal (journal_aead master_key) wire
     | Ok _ | Error _ -> None
   in
   let redo record =
@@ -256,19 +267,26 @@ let write t path data =
     | None -> 1
   in
   let file_key = Hkdf.derive ~secret:t.master_key ~salt:"vpfs-file" ~info:path 16 in
+  let file_aead =
+    match Hashtbl.find_opt t.table path with
+    | Some e when String.equal e.file_key file_key -> Lazy.force e.file_aead
+    | Some _ | None -> Speck.Aead.of_key file_key
+  in
   let chunks = split_chunks data in
   let sealed =
     List.mapi
       (fun index chunk ->
         let nonce = Drbg.bytes t.rng Speck.nonce_size in
-        Speck.Aead.to_wire
-          (Speck.Aead.encrypt ~key:file_key ~nonce
-             ~ad:(chunk_ad ~path ~index ~version) chunk))
+        Speck.Aead.seal_wire file_aead ~nonce ~ad:(chunk_ad ~path ~index ~version) chunk)
       chunks
   in
   let pre_root = t.root_digest in
   Hashtbl.replace t.table path
-    { file_key; version; plain_size = String.length data; chunks = List.length chunks };
+    { file_key;
+      file_aead = Lazy.from_val file_aead;
+      version;
+      plain_size = String.length data;
+      chunks = List.length chunks };
   let meta_wire = encrypt_meta t in
   let record =
     { j_op = "write";
@@ -308,7 +326,7 @@ let read t path =
                  | None -> Error (Integrity "chunk framing corrupt")
                  | Some box ->
                    (match
-                      Speck.Aead.decrypt ~key:e.file_key
+                      Speck.Aead.open_ (Lazy.force e.file_aead)
                         ~ad:(chunk_ad ~path ~index ~version:e.version) box
                     with
                     | None ->

@@ -181,6 +181,69 @@ let test_reattestation_after_heal () =
         "every epoch is a fresh attestation" (Fleet.host_epochs f)
         (Fleet.host_attests f))
 
+(* a reconnect derives fresh record keys: a record the controller sealed
+   under the torn-down session, replayed into the host at exactly the
+   sequence number the new session expects next, fails to open there.
+   Two hosts, so every failover has one candidate and the path is fixed. *)
+let test_stale_session_record_rejected () =
+  let module Net = Lt_net.Net in
+  let metrics = Lt_obs.Metrics.create () in
+  Lt_obs.Metrics.with_metrics metrics (fun () ->
+      in_trace (fun () ->
+          let f = mk_fleet [ "host-1"; "host-2" ] in
+          place_all f;
+          let net = Fleet.net f in
+          let cluster, members =
+            match Fleet.clusters f with
+            | (c, ms) :: _ -> (c, ms)
+            | [] -> Alcotest.fail "no clusters"
+          in
+          let call () =
+            ignore (Fleet.call f ~target:(List.hd members) ~service:"ingress" "x")
+          in
+          let owner0 =
+            match Fleet.owner f cluster with
+            | Some h -> h
+            | None -> Alcotest.fail "cluster unplaced"
+          in
+          let other = if owner0 = "host-1" then "host-2" else "host-1" in
+          let tag p = Option.map fst (Lt_crypto.Wire.untag p.Net.payload) in
+          let to_owner0 t p = p.Net.dst = owner0 && tag p = Some t in
+          call ();
+          call ();
+          (* every controller record to owner0 so far, in sequence order *)
+          let old_records = List.filter (to_owner0 "record") (Net.observed net) in
+          Fleet.partition f ~host:owner0 ();
+          call ();
+          Fleet.heal f ~host:owner0;
+          Fleet.sweep f;
+          Alcotest.(check bool) "owner0 reconnected" true (Fleet.host_connected f owner0);
+          Alcotest.(check (option string)) "cluster failed over" (Some other)
+            (Fleet.owner f cluster);
+          (* records the new session has carried: those after its hello *)
+          let rec since_hello acc = function
+            | [] -> acc
+            | p :: rest ->
+              if to_owner0 "hello" p then since_hello 0 rest
+              else since_hello (if to_owner0 "record" p then acc + 1 else acc) rest
+          in
+          let next_seq = since_hello 0 (Net.observed net) in
+          Alcotest.(check bool) "old session sealed that sequence number" true
+            (next_seq < List.length old_records);
+          let rejected () =
+            Option.value ~default:0
+              (List.assoc_opt "fleet/host_record_rejected"
+                 (Lt_obs.Metrics.counters metrics))
+          in
+          let before = rejected () in
+          Net.inject net (List.nth old_records next_seq);
+          (* the next exchange with owner0 pumps the stale record first:
+             failing the cluster back to it is the only way left *)
+          Fleet.partition f ~host:other ();
+          call ();
+          Alcotest.(check int) "stale record refused by the new session" (before + 1)
+            (rejected ())))
+
 (* an asymmetric cut lets a placement succeed invisibly; reconcile after
    the heal must destroy the stale instance *)
 let test_asym_partition_fencing () =
@@ -233,6 +296,8 @@ let suite =
       test_no_revival_on_attest_failure;
     Alcotest.test_case "reconnect re-attests after heal" `Quick
       test_reattestation_after_heal;
+    Alcotest.test_case "stale-session record refused after reconnect" `Quick
+      test_stale_session_record_rejected;
     Alcotest.test_case "asym partition leaves fenced instances" `Quick
       test_asym_partition_fencing;
     Alcotest.test_case "create rejects bad host specs" `Quick

@@ -162,6 +162,29 @@ let test_record_replay_detected () =
      | Error _ -> ()
      | Ok _ -> Alcotest.fail "replayed record accepted!")
 
+(* each direction seals under its own context: a record reflected back
+   into the sender's own [receive] is refused, even at a matching
+   sequence number, and the sender's session is not consumed by it *)
+let test_record_reflection_rejected () =
+  let net, _, _, client, server = handshake_setup () in
+  match Sc.connect net ~client ~client_addr:"client" ~server ~server_addr:"server" with
+  | Error e -> Alcotest.fail e
+  | Ok (cs, ss) ->
+    let r = Sc.send cs "pay 5" in
+    (match Sc.receive cs r with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.fail "client accepted its own record");
+    let r' = Sc.send ss "ack" in
+    (match Sc.receive ss r' with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.fail "server accepted its own record");
+    (match Sc.receive ss r with
+     | Ok m -> Alcotest.(check string) "the real peer still opens it" "pay 5" m
+     | Error e -> Alcotest.fail e);
+    (match Sc.receive cs r' with
+     | Ok m -> Alcotest.(check string) "and the other way" "ack" m
+     | Error e -> Alcotest.fail e)
+
 let test_mitm_cert_rejected () =
   (* adversary swaps in a self-signed certificate for their own key *)
   let net, rng, _, client, server = handshake_setup () in
@@ -404,6 +427,7 @@ let suite =
     Alcotest.test_case "wire confidentiality" `Quick test_channel_confidential_on_wire;
     Alcotest.test_case "record tampering detected" `Quick test_record_tamper_detected;
     Alcotest.test_case "record replay detected" `Quick test_record_replay_detected;
+    Alcotest.test_case "reflected record rejected" `Quick test_record_reflection_rejected;
     Alcotest.test_case "MITM certificate rejected" `Quick test_mitm_cert_rejected;
     Alcotest.test_case "certificate pinning" `Quick test_subject_pinning;
     Alcotest.test_case "handshake survives no packets = fails cleanly" `Quick
