@@ -33,23 +33,24 @@ type t = {
 }
 
 (* no span here: the router's "call" span above this bridge and the
-   substrate adapter's own span below it (ecall, smc, ipc-rpc, mailbox —
-   each tagged with its substrate) already bracket the hop; a third
+   substrate adapter's own span below it (ecall, smc, ipc-rpc, mailbox,
+   ... — each tagged with its substrate) already bracket the hop; a third
    identically-named span would only add per-call cost *)
 let bridge sub comp _ctx ~service req =
   match sub.Substrate.invoke comp ~fn:service req with
   | Ok r -> r
   | Error e ->
-    Lt_obs.Trace.fail_span e;
-    (* a Service_failure or Dependency_crashed stringified by the
-       substrate hop comes back typed, so the router reports [Failed] /
-       [Crashed]-at-the-true-origin, not a crash of this component *)
-    (match Substrate.as_failure e with
-     | Some m -> raise (Substrate.Service_failure m)
-     | None ->
-       (match Substrate.as_dep_crashed e with
-        | Some (origin, reason) -> Substrate.dep_crashed ~origin reason
-        | None -> failwith e))
+    if Lt_obs.Trace.enabled () then
+      Lt_obs.Trace.fail_span (Substrate.render_error comp e);
+    let name = Substrate.component_name comp in
+    (* the router reports a refusal as [Failed] and everything else as
+       [Crashed] at the component that is actually down: the dependency
+       a hop names, else this component *)
+    (match e with
+     | Substrate.Refused reason -> Substrate.fail reason
+     | Dep_crashed { origin; reason } -> Substrate.dep_crashed ~origin reason
+     | Crashed -> Substrate.dep_crashed ~origin:name "killed"
+     | Fault reason -> Substrate.dep_crashed ~origin:name reason)
 
 let services_for ~self ~name ~behaviour provides =
   let service_for svc =

@@ -1,3 +1,5 @@
+open Lt_crypto
+
 type attacker_model =
   | Remote_software
   | Local_software
@@ -23,17 +25,30 @@ type facilities = {
 
 type service = facilities -> string -> string
 
-(* adapters stash their per-component state in an extensible-variant
-   (exception) value; each adapter defines its own constructor and only
-   ever reads back what it put in *)
-type component = { c_name : string; c_measurement : string; c_state : exn }
+type error =
+  | Crashed
+  | Refused of string
+  | Dep_crashed of { origin : string; reason : string }
+  | Fault of string
+
+(* a launched component carries its own hop, attestation and teardown
+   closures over whatever the adapter keeps for it, so the generic
+   invoke never has to recover adapter state from the handle *)
+type component = {
+  c_name : string;
+  c_measurement : string;
+  c_hop : fn:string -> string -> (string, error) result;
+  c_attest : nonce:string -> claim:string -> (Attestation.evidence, string) result;
+  c_live : unit -> bool;
+  c_stop : unit -> unit;
+}
 
 type t = {
   properties : properties;
   launch :
     name:string -> code:string -> services:(string * service) list ->
     (component, string) result;
-  invoke : component -> fn:string -> string -> (string, string) result;
+  invoke : component -> fn:string -> string -> (string, error) result;
   attest :
     component -> nonce:string -> claim:string ->
     (Attestation.evidence, string) result;
@@ -41,136 +56,230 @@ type t = {
   destroy : component -> unit;
   crash : component -> unit;
   is_alive : component -> bool;
-  (* Snapshottable layers covering ALL mutable state behind this
-     adapter (machine, sim, per-launch tables, dead set); assembled by
-     each adapter's [make] and collected by [Deploy.world] *)
   mutable snap_layers : Lt_world.Snapshottable.layer list;
 }
 
 let component_name c = c.c_name
 
-let make_component ~name ~measurement ~state =
-  { c_name = name; c_measurement = measurement; c_state = state }
-
 let component_measurement c = c.c_measurement
 
-let component_state c = c.c_state
-
-let crashed_error name = Printf.sprintf "component %s crashed (killed)" name
+let render_error c = function
+  | Crashed -> Printf.sprintf "component %s crashed (killed)" c.c_name
+  | Refused m -> "service failure: " ^ m
+  | Dep_crashed { origin; reason } ->
+    Printf.sprintf "dependency crashed: %s: %s" origin reason
+  | Fault m -> m
 
 exception Service_failure of string
 
-let failure_prefix = "service failure: "
-
-let failure_error m = failure_prefix ^ m
-
-(* every substrate sim that turns a service exception into a string does
-   so via [Printexc.to_string]; registering a printer keeps the failure
-   recognizable across that hop so routers can recover the class *)
-let () =
-  Printexc.register_printer (function
-    | Service_failure m -> Some (failure_error m)
-    | _ -> None)
-
 let fail m = raise (Service_failure m)
-
-let as_failure e =
-  let n = String.length failure_prefix in
-  if String.length e >= n && String.sub e 0 n = failure_prefix then
-    Some (String.sub e n (String.length e - n))
-  else None
 
 (* a behaviour found a dependency dead mid-request; carries the true
    origin so routers blame the crashed component, not the caller that
    tripped over it *)
 exception Dependency_crashed of { origin : string; reason : string }
 
-let dep_crashed_prefix = "dependency crashed: "
-
-let dep_crashed_error ~origin reason =
-  Printf.sprintf "%s%s: %s" dep_crashed_prefix origin reason
-
-let () =
-  Printexc.register_printer (function
-    | Dependency_crashed { origin; reason } ->
-      Some (dep_crashed_error ~origin reason)
-    | _ -> None)
-
 let dep_crashed ~origin reason = raise (Dependency_crashed { origin; reason })
 
-let as_dep_crashed e =
-  let n = String.length dep_crashed_prefix in
-  if String.length e >= n && String.sub e 0 n = dep_crashed_prefix then
-    let rest = String.sub e n (String.length e - n) in
-    match String.index_opt rest ':' with
-    | Some i when i > 0 && i + 2 <= String.length rest ->
-      Some
-        ( String.sub rest 0 i,
-          String.sub rest (i + 2) (String.length rest - i - 2) )
-    | _ -> Some (rest, "")
-  else None
-
-let lifecycle ?dead ?(teardown = fun _ -> ()) () =
-  let dead : (string, unit) Hashtbl.t =
-    match dead with Some d -> d | None -> Hashtbl.create 4
-  in
-  let crash c =
-    if not (Hashtbl.mem dead c.c_name) then begin
-      Hashtbl.replace dead c.c_name ();
-      teardown c
-    end
-  in
-  let is_alive c = not (Hashtbl.mem dead c.c_name) in
-  let revive name = Hashtbl.remove dead name in
-  (crash, is_alive, revive)
-
-(* Seal-key contexts by component, built on first use and kept. A context
-   is a pure function of the secret its key derives from (a fused device
-   key), so the cache sits outside every snapshot and a restore needs
-   nothing from it; a secret other than the cached one rebuilds it. *)
-let seal_contexts () =
-  let cache : (string, string * Lt_crypto.Speck.Aead.ctx) Hashtbl.t = Hashtbl.create 8 in
-  fun ~comp ~secret derive ->
-    match Hashtbl.find_opt cache comp with
-    | Some (s, aead) when String.equal s secret -> aead
-    | Some _ | None ->
-      let aead = Lt_crypto.Speck.Aead.of_key (derive secret) in
-      Hashtbl.replace cache comp (secret, aead);
-      aead
-
-(* Shared snapshot plumbing for adapter authors: every adapter owns a
-   dead-set, and most keep per-launch KV tables in a name-keyed
-   registry.  [extra_take]/[extra_digest] cover whatever else the
-   adapter holds (invoke counters, facilities caches, tile cursors). *)
 module Snap = Lt_world.Snapshottable
 module D64 = Lt_world.Digest64
 
-let adapter_layer ~name ~dead ~tables ?(extra_take = [])
-    ?(extra_digest = fun d -> d) () =
-  Snap.make ~name
-    ~take:(fun () ->
-      Snap.save_refs
-        ([ (fun () -> Snap.save_hashtbl dead);
-           (fun () -> Snap.save_hashtbl_registry tables) ]
-         @ extra_take))
-    ~digest:(fun () ->
-      let d =
-        List.fold_left
-          (fun d (k, ()) -> D64.string d k)
-          (D64.int D64.basis (Hashtbl.length dead))
-          (Snap.sorted_bindings dead)
-      in
-      let d =
-        List.fold_left
-          (fun d (n, tbl) ->
-            Snap.digest_hashtbl
-              ~key:(fun k -> k)
-              ~value:(fun v -> v)
-              tbl (D64.string d n))
-          (D64.int d (Hashtbl.length tables))
-          (Snap.sorted_bindings tables)
-      in
-      extra_digest d)
+module Kit = struct
+  type kit = {
+    dead : (string, unit) Hashtbl.t;
+    tables : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  }
+
+  let create () = { dead = Hashtbl.create 4; tables = Hashtbl.create 8 }
+
+  let revive kit name = Hashtbl.remove kit.dead name
+
+  let forget kit name = Hashtbl.remove kit.tables name
+
+  let until_crashed () = true
+
+  let component ~name ~measurement ~live ~stop ~attest hop =
+    { c_name = name; c_measurement = measurement; c_hop = hop;
+      c_attest = attest; c_live = live; c_stop = stop }
+
+  (* --- the service side of a hop --- *)
+
+  let classify = function
+    | Service_failure m -> Refused m
+    | Dependency_crashed { origin; reason } -> Dep_crashed { origin; reason }
+    | e -> Fault (Printexc.to_string e)
+
+  (* [ok]/[error] are closed functions, so passing them allocates
+     nothing: a successful hop allocates only its reply *)
+  let dispatch services fac ~fn arg ~ok ~error =
+    match List.assoc_opt fn services with
+    | None -> error (Fault (Printf.sprintf "no entry point %S" fn))
+    | Some service ->
+      (match service fac arg with
+       | out -> ok out
+       | exception e -> error (classify e))
+
+  let run services fac ~fn arg =
+    dispatch services fac ~fn arg ~ok:(fun out -> Ok out) ~error:(fun e -> Error e)
+
+  let error_reply e =
+    Wire.encode
+      (match e with
+       | Crashed -> [ "crashed" ]
+       | Refused m -> [ "refused"; m ]
+       | Dep_crashed { origin; reason } -> [ "dep-crashed"; origin; reason ]
+       | Fault m -> [ "fault"; m ])
+
+  let serve services fac request =
+    match Wire.decode request with
+    | Some [ fn; arg ] ->
+      dispatch services fac ~fn arg
+        ~ok:(fun out -> Wire.encode [ "ok"; out ])
+        ~error:error_reply
+    | _ -> error_reply (Fault "malformed request")
+
+  (* every sim context one service is entered with is alike, so its
+     facilities are built from the first and kept *)
+  let serve_with services build =
+    let fac = ref None in
+    fun ctx request ->
+      match !fac with
+      | Some f -> serve services f request
+      | None ->
+        (match build ctx with
+         | Error e -> error_reply e
+         | Ok f ->
+           fac := Some f;
+           serve services f request)
+
+  let reply r =
+    match Wire.decode r with
+    | Some [ "ok"; out ] -> Ok out
+    | Some [ "crashed" ] -> Error Crashed
+    | Some [ "refused"; m ] -> Error (Refused m)
+    | Some [ "dep-crashed"; origin; reason ] -> Error (Dep_crashed { origin; reason })
+    | Some [ "fault"; m ] -> Error (Fault m)
+    | _ -> Error (Fault "malformed reply")
+
+  (* --- facilities --- *)
+
+  let table_blob table =
+    Wire.encode
+      (Hashtbl.fold (fun k v acc -> Wire.encode [ k; v ] :: acc) table []
+       |> List.sort Stdlib.compare)
+
+  let store kit ~name ~cap write =
+    let table : (string, string) Hashtbl.t = Hashtbl.create 8 in
+    Hashtbl.replace kit.tables name table;
+    ( (fun ~key data ->
+        Hashtbl.replace table key data;
+        let blob = table_blob table in
+        if String.length blob <= cap then write blob),
+      fun ~key -> Hashtbl.find_opt table key )
+
+  let facilities ~ad ~salt aead ~store ~load =
+    { f_seal =
+        (fun data ->
+          let d = Sha256.digest (if salt = "" then data else salt ^ data) in
+          let nonce = String.sub d 0 Speck.nonce_size in
+          Speck.Aead.seal_wire (aead ()) ~nonce ~ad data);
+      f_unseal = (fun wire -> Speck.Aead.open_wire (aead ()) ~ad wire);
+      f_store = store;
+      f_load = load }
+
+  let derived_seal ~secret ~salt ~info =
+    let aead = lazy (Speck.Aead.of_key (Hkdf.derive ~secret ~salt ~info 16)) in
+    fun () -> Lazy.force aead
+
+  (* Seal-key contexts by component, built on first use and kept. A
+     context is a pure function of the secret its key derives from (a
+     fused device key), so the cache sits outside every snapshot and a
+     restore needs nothing from it; a secret other than the cached one
+     rebuilds it. *)
+  let seal_contexts () =
+    let cache : (string, string * Speck.Aead.ctx) Hashtbl.t = Hashtbl.create 8 in
+    fun ~comp ~secret derive ->
+      match Hashtbl.find_opt cache comp with
+      | Some (s, aead) when String.equal s secret -> aead
+      | Some _ | None ->
+        let aead = Speck.Aead.of_key (derive secret) in
+        Hashtbl.replace cache comp (secret, aead);
+        aead
+
+  let evidence ~substrate ~measurement ~nonce ~claim ~proof sign =
+    let ev =
+      { Attestation.ev_substrate = substrate; ev_measurement = measurement;
+        ev_nonce = nonce; ev_claim = claim; ev_proof = proof "" }
+    in
+    Result.map
+      (fun s -> { ev with Attestation.ev_proof = proof s })
+      (sign (Attestation.signed_body ev))
+
+  let quote ~substrate ~cert sign ~measurement ~nonce ~claim =
+    evidence ~substrate ~measurement ~nonce ~claim
+      ~proof:(fun signature -> Attestation.Rsa_quote { signature; cert })
+      (fun body -> Ok (sign body))
+
+  (* --- the caller side: one invoke for every adapter --- *)
+
+  let substrate kit ~properties ~span ~measure ~launch =
+    let attrs = [ ("substrate", properties.substrate_name) ] in
+    let crash c =
+      if not (Hashtbl.mem kit.dead c.c_name) then begin
+        Hashtbl.replace kit.dead c.c_name ();
+        c.c_stop ()
+      end
+    in
+    (* a hop that answers [Crashed] lost its instance in flight *)
+    let hop c ~fn arg =
+      match c.c_hop ~fn arg with
+      | Ok _ as r -> r
+      | Error e as r ->
+        if Lt_obs.Trace.enabled () then Lt_obs.Trace.fail_span (render_error c e);
+        (match e with Crashed -> crash c | _ -> ());
+        r
+    in
+    let invoke c ~fn arg =
+      if Hashtbl.mem kit.dead c.c_name then Error Crashed
+      else if not (c.c_live ()) then Error (Fault "component destroyed")
+      else if Lt_obs.Trace.enabled () then
+        Lt_obs.Trace.with_span ~kind:span
+          ~name:(Lt_obs.Trace.span_name c.c_name fn) ~attrs
+          (fun () -> hop c ~fn arg)
+      else hop c ~fn arg
+    in
+    { properties; launch; invoke; measure; crash;
+      attest = (fun c ~nonce ~claim -> c.c_attest ~nonce ~claim);
+      destroy = (fun c -> c.c_stop ());
+      is_alive = (fun c -> (not (Hashtbl.mem kit.dead c.c_name)) && c.c_live ());
+      snap_layers = [] }
+
+  (* the dead-set and the per-launch KV tables, plus whatever else the
+     adapter holds (invoke counters, facilities caches, tile cursors) *)
+  let layer kit ~name ?(extra_take = []) ?(extra_digest = fun d -> d) () =
+    Snap.make ~name
+      ~take:(fun () ->
+        Snap.save_refs
+          ([ (fun () -> Snap.save_hashtbl kit.dead);
+             (fun () -> Snap.save_hashtbl_registry kit.tables) ]
+           @ extra_take))
+      ~digest:(fun () ->
+        let d =
+          List.fold_left
+            (fun d (k, ()) -> D64.string d k)
+            (D64.int D64.basis (Hashtbl.length kit.dead))
+            (Snap.sorted_bindings kit.dead)
+        in
+        let d =
+          List.fold_left
+            (fun d (n, tbl) ->
+              Snap.digest_hashtbl ~key:(fun k -> k) ~value:(fun v -> v) tbl
+                (D64.string d n))
+            (D64.int d (Hashtbl.length kit.tables))
+            (Snap.sorted_bindings kit.tables)
+        in
+        extra_digest d)
+end
 
 let pp_attacker_model fmt m =
   Format.pp_print_string fmt

@@ -1,14 +1,6 @@
 open Lt_crypto
 module Cheri = Lt_cheri.Cheri
 
-type comp_state = {
-  region : Cheri.cap; (* the compartment's only authority *)
-  services : (string * Substrate.service) list;
-  facilities : Substrate.facilities;
-}
-
-exception Compartment_state of comp_state
-
 let compartment_bytes = 8192
 
 let measure_code code = Sha256.digest ("cheri-compartment|" ^ code)
@@ -22,21 +14,19 @@ let properties =
     shared_cache_with_host = true;
     progress_guaranteed = true }
 
+let no_anchor ~nonce:_ ~claim:_ = Error "capability machine has no hardware trust anchor"
+
 let make rng ~size () =
   let machine = Cheri.create ~size in
   let root = Cheri.root machine in
   let session_secret = Drbg.bytes rng 32 in
   let next_off = ref 0 in
-  let dead : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let tables : (string, (string, string) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  let kit = Substrate.Kit.create () in
   (* crash marks the compartment dead; its memory region is simply never
      handed out again. Sealed blobs survive because the seal key is
      derived from the measurement, which a relaunch reproduces. *)
-  let crash, is_alive, revive = Substrate.lifecycle ~dead () in
   let launch ~name ~code ~services =
-    revive name;
+    Substrate.Kit.revive kit name;
     if !next_off + compartment_bytes > Cheri.length root then
       Error "cheri: out of compartment memory"
     else begin
@@ -46,79 +36,31 @@ let make rng ~size () =
       in
       next_off := !next_off + compartment_bytes;
       let measurement = measure_code code in
-      let seal =
-        lazy
-          (Speck.Aead.of_key
-             (Hkdf.derive ~secret:session_secret ~salt:"cheri-seal" ~info:measurement 16))
-      in
-      let table : (string, string) Hashtbl.t = Hashtbl.create 8 in
-      Hashtbl.replace tables name table;
-      let mirror () =
-        (* the component's state physically lives inside its bounds *)
-        let blob =
-          Wire.encode
-            (Hashtbl.fold (fun k v acc -> Wire.encode [ k; v ] :: acc) table []
-             |> List.sort Stdlib.compare)
-        in
-        if String.length blob <= compartment_bytes then
-          Cheri.store machine region ~off:0 blob
+      (* the component's state physically lives inside its bounds *)
+      let store, load =
+        Substrate.Kit.store kit ~name ~cap:compartment_bytes
+          (Cheri.store machine region ~off:0)
       in
       let facilities =
-        { Substrate.f_seal =
-            (fun data ->
-              let nonce = String.sub (Sha256.digest data) 0 Speck.nonce_size in
-              Speck.Aead.seal_wire (Lazy.force seal) ~nonce ~ad:"cheri-seal" data);
-          f_unseal =
-            (fun wire -> Speck.Aead.open_wire (Lazy.force seal) ~ad:"cheri-seal" wire);
-          f_store =
-            (fun ~key data ->
-              Hashtbl.replace table key data;
-              mirror ());
-          f_load = (fun ~key -> Hashtbl.find_opt table key) }
+        Substrate.Kit.facilities ~ad:"cheri-seal" ~salt:""
+          (Substrate.Kit.derived_seal ~secret:session_secret ~salt:"cheri-seal"
+             ~info:measurement)
+          ~store ~load
       in
       Ok
-        (Substrate.make_component ~name ~measurement
-           ~state:(Compartment_state { region; services; facilities }))
+        (Substrate.Kit.component ~name ~measurement ~live:Substrate.Kit.until_crashed
+           ~stop:ignore ~attest:no_anchor (Substrate.Kit.run services facilities))
     end
   in
-  let state_of c =
-    match Substrate.component_state c with
-    | Compartment_state s -> s
-    | _ -> invalid_arg "substrate_cheri: foreign component"
-  in
-  let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
-    else
-    let s = state_of c in
-    match List.assoc_opt fn s.services with
-    | None -> Error (Printf.sprintf "no entry point %S" fn)
-    | Some service ->
-      (try Ok (service s.facilities arg) with
-       | Cheri.Capability_fault m -> Error ("capability fault: " ^ m)
-       | exn -> Error (Printexc.to_string exn))
-  in
-  let attest _c ~nonce ~claim =
-    ignore nonce;
-    ignore claim;
-    Error "capability machine has no hardware trust anchor"
-  in
   let t =
-    { Substrate.properties;
-      launch;
-      invoke;
-      attest;
-      measure = (fun ~code -> measure_code code);
-      destroy = (fun _ -> ());
-      crash;
-      is_alive;
-      snap_layers = [] }
+    Substrate.Kit.substrate kit ~properties ~span:"ccall" ~launch
+      ~measure:(fun ~code -> measure_code code)
   in
   t.Substrate.snap_layers <-
     [ Lt_world.Snapshottable.make ~name:"cheri"
         ~take:(fun () -> Cheri.take_snapshot machine)
         ~digest:(fun () -> Cheri.state_digest machine);
-      Substrate.adapter_layer ~name:"substrate:cheri" ~dead ~tables
+      Substrate.Kit.layer kit ~name:"substrate:cheri"
         ~extra_take:[ (fun () -> Lt_world.Snapshottable.save_ref next_off) ]
         ~extra_digest:(fun d -> Lt_world.Digest64.int d !next_off)
         () ];

@@ -1,13 +1,6 @@
 open Lt_crypto
 open Lt_tpm
 
-type pal_state = {
-  pal : Latelaunch.pal;
-  expected_composite : string;
-}
-
-exception Pal_state of pal_state
-
 let properties =
   { Substrate.substrate_name = "flicker";
     concurrent_components = false;
@@ -22,11 +15,14 @@ let properties =
 let make tpm ?clock () =
   (* crash marks the PAL dead between sessions; its sealed store blob is
      untouched, so a relaunch of the same code unseals it again *)
-  let dead : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let crash, is_alive, revive = Substrate.lifecycle ~dead () in
+  let kit = Substrate.Kit.create () in
   let stores : (string, Tpm.sealed option ref) Hashtbl.t = Hashtbl.create 4 in
+  let quote =
+    Substrate.Kit.quote ~substrate:"flicker" ~cert:(Tpm.ek_cert tpm) (fun body ->
+        Tpm.ak_sign tpm ~body)
+  in
   let launch ~name ~code ~services =
-    revive name;
+    Substrate.Kit.revive kit name;
     (* each PAL carries its persistent state as a blob sealed to its own
        DRTM identity; the untrusted host merely stores the ciphertext *)
     let sealed_store : Tpm.sealed option ref = ref None in
@@ -50,14 +46,6 @@ let make tpm ?clock () =
             | None -> ());
            table)
     in
-    let save_table table =
-      let plain =
-        Wire.encode
-          (Hashtbl.fold (fun k v acc -> Wire.encode [ k; v ] :: acc) table []
-           |> List.sort Stdlib.compare)
-      in
-      sealed_store := Some (Latelaunch.seal_for tpm plain)
-    in
     let facilities =
       { Substrate.f_seal =
           (fun data -> Tpm.sealed_to_wire (Latelaunch.seal_for tpm data));
@@ -70,82 +58,43 @@ let make tpm ?clock () =
           (fun ~key data ->
             let table = load_table () in
             Hashtbl.replace table key data;
-            save_table table);
+            sealed_store :=
+              Some (Latelaunch.seal_for tpm (Substrate.Kit.table_blob table)));
         f_load = (fun ~key -> Hashtbl.find_opt (load_table ()) key) }
-    in
-    let handler input =
-      match Wire.decode input with
-      | Some [ fn; arg ] ->
-        (match List.assoc_opt fn services with
-         | Some service -> Wire.encode [ "ok"; service facilities arg ]
-         | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-      | _ -> Wire.encode [ "err"; "malformed input" ]
     in
     (* the PAL's measured identity is its code alone (pal_name is fixed),
        so the verifier-side [measure] can predict it from code *)
-    ignore name;
-    let pal = { Latelaunch.pal_name = "pal"; pal_code = code; handler } in
-    let state =
-      { pal; expected_composite = Latelaunch.expected_drtm_composite tpm pal }
+    let pal =
+      { Latelaunch.pal_name = "pal"; pal_code = code;
+        handler = Substrate.Kit.serve services facilities }
+    in
+    let measurement = Latelaunch.expected_drtm_composite tpm pal in
+    (* the TPM only quotes current state: the PAL must be resident *)
+    let attest ~nonce ~claim =
+      let current = Pcr.composite (Tpm.pcrs tpm) [ Pcr.drtm_index ] in
+      if not (Ct.equal current measurement) then
+        Error "PAL not resident in the dynamic PCR (run it first)"
+      else quote ~measurement ~nonce ~claim
     in
     Ok
-      (Substrate.make_component ~name ~measurement:state.expected_composite
-         ~state:(Pal_state state))
-  in
-  let pal_of c =
-    match Substrate.component_state c with
-    | Pal_state s -> s
-    | _ -> invalid_arg "substrate_flicker: foreign component"
-  in
-  let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
-    else
-    let s = pal_of c in
-    let r =
-      Latelaunch.execute ?clock tpm s.pal ~nonce:"session"
-        ~input:(Wire.encode [ fn; arg ])
-    in
-    match Wire.decode r.Latelaunch.output with
-    | Some [ "ok"; out ] -> Ok out
-    | Some [ "err"; e ] -> Error e
-    | _ -> Error "malformed PAL output"
-  in
-  let attest c ~nonce ~claim =
-    let s = pal_of c in
-    (* the TPM only quotes current state: the PAL must be resident *)
-    let current = Pcr.composite (Tpm.pcrs tpm) [ Pcr.drtm_index ] in
-    if not (Ct.equal current s.expected_composite) then
-      Error "PAL not resident in the dynamic PCR (run it first)"
-    else begin
-      let ev_no_sig =
-        { Attestation.ev_substrate = "flicker";
-          ev_measurement = s.expected_composite;
-          ev_nonce = nonce;
-          ev_claim = claim;
-          ev_proof = Attestation.Rsa_quote { signature = ""; cert = Tpm.ek_cert tpm } }
-      in
-      let signature = Tpm.ak_sign tpm ~body:(Attestation.signed_body ev_no_sig) in
-      Ok
-        { ev_no_sig with
-          Attestation.ev_proof =
-            Attestation.Rsa_quote { signature; cert = Tpm.ek_cert tpm } }
-    end
+      (Substrate.Kit.component ~name ~measurement ~live:Substrate.Kit.until_crashed
+         ~stop:ignore ~attest (fun ~fn arg ->
+           let r =
+             Latelaunch.execute ?clock tpm pal ~nonce:"session"
+               ~input:(Wire.encode [ fn; arg ])
+           in
+           Substrate.Kit.reply r.Latelaunch.output))
   in
   let measure ~code =
     let scratch = { Latelaunch.pal_name = "pal"; pal_code = code; handler = Fun.id } in
     Latelaunch.expected_drtm_composite tpm scratch
   in
-  let t =
-    { Substrate.properties; launch; invoke; attest; measure;
-      destroy = (fun _ -> ()); crash; is_alive; snap_layers = [] }
-  in
+  let t = Substrate.Kit.substrate kit ~properties ~span:"pal-session" ~launch ~measure in
   let module Snap = Lt_world.Snapshottable in
   let module D64 = Lt_world.Digest64 in
   t.Substrate.snap_layers <-
     [ Tpm.layer tpm;
-      Substrate.adapter_layer ~name:"substrate:flicker" ~dead
-        ~tables:(Hashtbl.create 1)
+      Substrate.Kit.layer kit ~name:"substrate:flicker"
         ~extra_take:
           [ (fun () ->
               (* the sealed-store refs: outer bindings plus each ref's blob *)

@@ -1,8 +1,6 @@
 open Lt_crypto
 module Sep = Lt_sep.Sep
 
-exception Svc_state of string
-
 let properties =
   { Substrate.substrate_name = "sep";
     concurrent_components = false;
@@ -19,105 +17,54 @@ let measure_code code = Sha256.digest ("sep-service|" ^ code)
 let make machine rng ~device_id ~private_pages =
   let sep = Sep.attach machine rng ~private_pages in
   let measurements : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let seal_context = Substrate.seal_contexts () in
-  let facilities ctx ~comp =
+  let seal_context = Substrate.Kit.seal_contexts () in
+  let facilities ~comp ctx =
     let aead () =
       seal_context ~comp ~secret:(Sep.uid_key ctx) (fun _ ->
           Sep.derive ctx ~info:("seal|" ^ comp) 16)
     in
-    { Substrate.f_seal =
-        (fun data ->
-          let nonce = String.sub (Sha256.digest (comp ^ data)) 0 Speck.nonce_size in
-          Speck.Aead.seal_wire (aead ()) ~nonce ~ad:"sep-seal" data);
-      f_unseal = (fun wire -> Speck.Aead.open_wire (aead ()) ~ad:"sep-seal" wire);
-      f_store = (fun ~key data -> Sep.store ctx ~key data);
-      f_load = (fun ~key -> Sep.load ctx ~key) }
+    Ok
+      (Substrate.Kit.facilities ~ad:"sep-seal" ~salt:comp aead ~store:(Sep.store ctx)
+         ~load:(Sep.load ctx))
   in
   (* crash marks the mailbox service dead; the SEP itself keeps running,
      so secure-world storage and the UID key survive for the relaunch *)
-  let dead : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let crash, is_alive, revive = Substrate.lifecycle ~dead () in
+  let kit = Substrate.Kit.create () in
+  (* the UID-key MAC is computed inside the SEP via a hidden service *)
+  let sign body =
+    Sep.register_service sep ~name:"__lt_attest" (fun ctx arg -> Sep.uid_mac ctx arg);
+    Sep.mailbox_call sep ~service:"__lt_attest" body
+  in
   let launch ~name ~code ~services =
-    revive name;
-    Hashtbl.replace measurements name (measure_code code);
+    Substrate.Kit.revive kit name;
+    let measurement = measure_code code in
+    Hashtbl.replace measurements name measurement;
     (* one mailbox service per component dispatches its entry points so
        they share the component's store namespace *)
-    Sep.register_service sep ~name (fun ctx arg ->
-        match Wire.decode arg with
-        | Some [ fn; req ] ->
-          (match List.assoc_opt fn services with
-           | Some service -> Wire.encode [ "ok"; service (facilities ctx ~comp:name) req ]
-           | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-        | _ -> Wire.encode [ "err"; "malformed request" ]);
+    Sep.register_service sep ~name
+      (Substrate.Kit.serve_with services (facilities ~comp:name));
     Ok
-      (Substrate.make_component ~name ~measurement:(measure_code code)
-         ~state:(Svc_state name))
-  in
-  let svc_of c =
-    match Substrate.component_state c with
-    | Svc_state name -> name
-    | _ -> invalid_arg "substrate_sep: foreign component"
-  in
-  let span_attrs = [ ("substrate", "sep") ] in
-  let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
-    else
-    Lt_obs.Trace.with_span ~kind:"mailbox"
-      ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
-      ~attrs:span_attrs
-      (fun () ->
-        match Sep.mailbox_call sep ~service:(svc_of c) (Wire.encode [ fn; arg ]) with
-        | Error e ->
-          Lt_obs.Trace.fail_span e;
-          Error e
-        | Ok reply ->
-          (match Wire.decode reply with
-           | Some [ "ok"; out ] -> Ok out
-           | Some [ "err"; e ] ->
-             Lt_obs.Trace.fail_span e;
-             Error e
-           | _ ->
-             Lt_obs.Trace.fail_span "malformed sep reply";
-             Error "malformed sep reply"))
-  in
-  let attest c ~nonce ~claim =
-    let measurement = Substrate.component_measurement c in
-    let ev_no_tag =
-      { Attestation.ev_substrate = "sep";
-        ev_measurement = measurement;
-        ev_nonce = nonce;
-        ev_claim = claim;
-        ev_proof = Attestation.Hmac_tag { device = device_id; tag = "" } }
-    in
-    let body = Attestation.signed_body ev_no_tag in
-    Sep.register_service sep ~name:"__lt_attest" (fun ctx arg ->
-        Sep.uid_mac ctx arg);
-    match Sep.mailbox_call sep ~service:"__lt_attest" body with
-    | Error e -> Error e
-    | Ok tag ->
-      Ok
-        { ev_no_tag with
-          Attestation.ev_proof = Attestation.Hmac_tag { device = device_id; tag } }
+      (Substrate.Kit.component ~name ~measurement ~live:Substrate.Kit.until_crashed
+         ~stop:ignore
+         ~attest:
+           (Substrate.Kit.evidence ~substrate:"sep" ~measurement
+              ~proof:(fun tag -> Attestation.Hmac_tag { device = device_id; tag })
+              sign)
+         (fun ~fn arg ->
+           match Sep.mailbox_call sep ~service:name (Wire.encode [ fn; arg ]) with
+           | Error e -> Error (Substrate.Fault e)
+           | Ok reply -> Substrate.Kit.reply reply))
   in
   let t =
-    { Substrate.properties;
-      launch;
-      invoke;
-      attest;
-      measure = (fun ~code -> measure_code code);
-      destroy = (fun _ -> ());
-      crash;
-      is_alive;
-      snap_layers = [] }
+    Substrate.Kit.substrate kit ~properties ~span:"mailbox" ~launch
+      ~measure:(fun ~code -> measure_code code)
   in
   t.Substrate.snap_layers <-
     [ Lt_hw.Machine.layer machine;
       Lt_world.Snapshottable.make ~name:"sep"
         ~take:(fun () -> Sep.take_snapshot sep)
         ~digest:(fun () -> Sep.state_digest sep);
-      Substrate.adapter_layer ~name:"substrate:sep" ~dead
-        ~tables:(Hashtbl.create 1)
+      Substrate.Kit.layer kit ~name:"substrate:sep"
         ~extra_take:
           [ (fun () -> Lt_world.Snapshottable.save_hashtbl measurements) ]
         ~extra_digest:(fun d ->

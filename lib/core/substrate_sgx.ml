@@ -1,7 +1,4 @@
-open Lt_crypto
 module Sgx = Lt_sgx.Sgx
-
-exception Enclave_state of Sgx.enclave
 
 let properties =
   { Substrate.substrate_name = "sgx";
@@ -16,12 +13,10 @@ let properties =
 
 let make machine rng ~ca_name ~ca_key ?(epc_pages = 2) () =
   let cpu = Sgx.init_cpu machine rng ~ca_name ~ca_key in
+  let kit = Substrate.Kit.create () in
   (* per-component facilities persist across invocations so f_store
      state survives between ecalls *)
   let facilities_cache : (string, Substrate.facilities) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let tables : (string, (string, string) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
   in
   let facilities_of name ctx =
@@ -30,121 +25,76 @@ let make machine rng ~ca_name ~ca_key ?(epc_pages = 2) () =
     | None ->
       (* key-value store mirrored into EPC so the bytes physically live
          in encrypted DRAM *)
-      let table : (string, string) Hashtbl.t = Hashtbl.create 8 in
-      Hashtbl.replace tables name table;
-      let mirror () =
-        let blob =
-          Wire.encode
-            (Hashtbl.fold (fun k v acc -> Wire.encode [ k; v ] :: acc) table []
-             |> List.sort Stdlib.compare)
-        in
-        if String.length blob <= epc_pages * 4096 then Sgx.mem_write ctx ~off:0 blob
+      let f_store, f_load =
+        Substrate.Kit.store kit ~name ~cap:(epc_pages * 4096) (Sgx.mem_write ctx ~off:0)
       in
       let fac =
-        { Substrate.f_seal = (fun data -> Sgx.seal ctx data);
-          f_unseal = (fun wire -> Sgx.unseal ctx wire);
-          f_store =
-            (fun ~key data ->
-              Hashtbl.replace table key data;
-              mirror ());
-          f_load = (fun ~key -> Hashtbl.find_opt table key) }
+        { Substrate.f_seal = Sgx.seal ctx; f_unseal = Sgx.unseal ctx; f_store; f_load }
       in
       Hashtbl.replace facilities_cache name fac;
       fac
   in
-  let enclave_of c =
-    match Substrate.component_state c with
-    | Enclave_state e -> e
-    | _ -> invalid_arg "substrate_sgx: foreign component"
-  in
-  (* crash = the enclave is torn down where it stands: EPC zeroed and
-     freed, volatile store gone. Sealed blobs survive because the seal
-     key is derived from the measurement, which a relaunch reproduces. *)
-  let dead : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let crash, is_alive, revive =
-    Substrate.lifecycle ~dead
-      ~teardown:(fun c ->
-        Hashtbl.remove facilities_cache (Substrate.component_name c);
-        Hashtbl.remove tables (Substrate.component_name c);
-        try Sgx.destroy cpu (enclave_of c) with Invalid_argument _ -> ())
-      ()
+  (* Sgx.ecall would stringify a service's exception; each ecall catches
+     its own instead and leaves the typed error here for the hop *)
+  let failed = ref None in
+  let quote =
+    Substrate.Kit.quote ~substrate:"sgx" ~cert:(Sgx.quoting_cert cpu) (fun body ->
+        Sgx.qe_sign cpu ~body)
   in
   let launch ~name ~code ~services =
     let ecalls =
       List.map
         (fun (fn, service) ->
-          (fn, fun ctx arg -> service (facilities_of name ctx) arg))
+          ( fn,
+            fun ctx arg ->
+              match service (facilities_of name ctx) arg with
+              | out -> out
+              | exception e ->
+                failed := Some (Substrate.Kit.classify e);
+                "" ))
         services
     in
-    try
-      let e = Sgx.create_enclave cpu ~name ~code ~epc_pages ~ecalls in
-      revive name;
+    match Sgx.create_enclave cpu ~name ~code ~epc_pages ~ecalls with
+    | exception Invalid_argument m -> Error m
+    | e ->
+      Substrate.Kit.revive kit name;
+      let measurement = Sgx.measurement e in
+      (* crash = the enclave is torn down where it stands: EPC zeroed
+         and freed, volatile store gone. Sealed blobs survive because
+         the seal key is derived from the measurement, which a relaunch
+         reproduces. *)
+      let stop () =
+        Hashtbl.remove facilities_cache name;
+        Substrate.Kit.forget kit name;
+        Sgx.destroy cpu e
+      in
       Ok
-        (Substrate.make_component ~name ~measurement:(Sgx.measurement e)
-           ~state:(Enclave_state e))
-    with Invalid_argument m -> Error m
-  in
-  let span_attrs = [ ("substrate", "sgx") ] in
-  let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
-    else
-      Lt_obs.Trace.with_span ~kind:"ecall"
-        ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
-        ~attrs:span_attrs
-        (fun () ->
-          if Fault_point.fires "sgx/kill-mid-ecall" then begin
-            (* the untrusted host pulls the enclave out from under the
-               in-flight ecall (SGX guarantees no progress, §II-C) *)
-            crash c;
-            let e = Substrate.crashed_error (Substrate.component_name c) in
-            Lt_obs.Trace.fail_span e;
-            Error e
-          end
-          else
-            match Sgx.ecall cpu (enclave_of c) ~fn arg with
-            | Ok _ as r -> r
-            | Error e as r ->
-              Lt_obs.Trace.fail_span e;
-              r)
-  in
-  let attest c ~nonce ~claim =
-    let e = enclave_of c in
-    let ev_no_sig =
-      { Attestation.ev_substrate = "sgx";
-        ev_measurement = Sgx.measurement e;
-        ev_nonce = nonce;
-        ev_claim = claim;
-        ev_proof =
-          Attestation.Rsa_quote { signature = ""; cert = Sgx.quoting_cert cpu } }
-    in
-    let signature = Sgx.qe_sign cpu ~body:(Attestation.signed_body ev_no_sig) in
-    Ok
-      { ev_no_sig with
-        Attestation.ev_proof =
-          Attestation.Rsa_quote { signature; cert = Sgx.quoting_cert cpu } }
+        (Substrate.Kit.component ~name ~measurement ~live:Substrate.Kit.until_crashed
+           ~stop ~attest:(quote ~measurement)
+           (fun ~fn arg ->
+             (* the untrusted host pulls the enclave out from under the
+                in-flight ecall (SGX guarantees no progress, §II-C) *)
+             if Fault_point.fires "sgx/kill-mid-ecall" then Error Substrate.Crashed
+             else
+               match Sgx.ecall cpu e ~fn arg with
+               | Error m -> Error (Substrate.Fault m)
+               | Ok out ->
+                 (match !failed with
+                  | None -> Ok out
+                  | Some err ->
+                    failed := None;
+                    Error err)))
   in
   let t =
-    { Substrate.properties;
-      launch;
-      invoke;
-      attest;
-      measure = (fun ~code -> Sgx.measure_code code);
-      destroy =
-        (fun c ->
-          Hashtbl.remove facilities_cache (Substrate.component_name c);
-          Hashtbl.remove tables (Substrate.component_name c);
-          Sgx.destroy cpu (enclave_of c));
-      crash;
-      is_alive;
-      snap_layers = [] }
+    Substrate.Kit.substrate kit ~properties ~span:"ecall" ~launch
+      ~measure:(fun ~code -> Sgx.measure_code code)
   in
   t.Substrate.snap_layers <-
     [ Lt_hw.Machine.layer machine;
       Lt_world.Snapshottable.make ~name:"sgx"
         ~take:(fun () -> Sgx.take_snapshot cpu)
         ~digest:(fun () -> Sgx.state_digest cpu);
-      Substrate.adapter_layer ~name:"substrate:sgx" ~dead ~tables
+      Substrate.Kit.layer kit ~name:"substrate:sgx"
         ~extra_take:
           [ (fun () -> Lt_world.Snapshottable.save_hashtbl facilities_cache) ]
         ~extra_digest:(fun d ->

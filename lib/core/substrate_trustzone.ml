@@ -1,8 +1,6 @@
 open Lt_crypto
 module Trustzone = Lt_trustzone.Trustzone
 
-exception Svc_state of string (* service name *)
-
 let properties =
   { Substrate.substrate_name = "trustzone";
     concurrent_components = false;
@@ -18,117 +16,62 @@ let make machine ~vendor ~image ~device_id ~device_key_name ~secure_pages =
   match Trustzone.boot tz ~image with
   | Error e -> Error e
   | Ok world_measurement ->
-    let seal_context = Substrate.seal_contexts () in
-    let facilities ctx ~comp =
-      let device_key =
-        match Trustzone.fuse_read ctx ~name:device_key_name with
-        | Some k -> k
-        | None -> invalid_arg "trustzone: device key not fused"
-      in
-      let aead () =
-        seal_context ~comp ~secret:device_key (fun k ->
-            Hkdf.derive ~secret:k ~salt:"tz-seal" ~info:comp 16)
-      in
-      { Substrate.f_seal =
-          (fun data ->
-            let nonce = String.sub (Sha256.digest (comp ^ data)) 0 Speck.nonce_size in
-            Speck.Aead.seal_wire (aead ()) ~nonce ~ad:"tz-seal" data);
-        f_unseal = (fun wire -> Speck.Aead.open_wire (aead ()) ~ad:"tz-seal" wire);
-        f_store = (fun ~key data -> Trustzone.store ctx ~key data);
-        f_load = (fun ~key -> Trustzone.load ctx ~key) }
+    let seal_context = Substrate.Kit.seal_contexts () in
+    let facilities ~comp ctx =
+      match Trustzone.fuse_read ctx ~name:device_key_name with
+      | None -> Error (Substrate.Fault "device key not fused")
+      | Some device_key ->
+        let aead () =
+          seal_context ~comp ~secret:device_key (fun k ->
+              Hkdf.derive ~secret:k ~salt:"tz-seal" ~info:comp 16)
+        in
+        Ok
+          (Substrate.Kit.facilities ~ad:"tz-seal" ~salt:comp aead
+             ~store:(Trustzone.store ctx) ~load:(Trustzone.load ctx))
     in
     (* crash marks the secure service dead; the secure world itself keeps
        running, so fused keys and secure storage survive for the relaunch *)
-    let dead : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-    let crash, is_alive, revive = Substrate.lifecycle ~dead () in
+    let kit = Substrate.Kit.create () in
+    (* the tag is computed inside the secure world via a hidden service *)
+    let sign body =
+      Trustzone.register_service tz ~name:"__lt_attest" (fun ctx arg ->
+          match Trustzone.fuse_read ctx ~name:device_key_name with
+          | Some key -> Hmac.mac ~key arg
+          | None -> "");
+      match Trustzone.smc tz ~service:"__lt_attest" body with
+      | Ok "" -> Error "device key not fused"
+      | r -> r
+    in
+    let attest =
+      Substrate.Kit.evidence ~substrate:"trustzone" ~measurement:world_measurement
+        ~proof:(fun tag -> Attestation.Hmac_tag { device = device_id; tag })
+        sign
+    in
     let launch ~name ~code ~services =
       ignore code;
-      revive name;
+      Substrate.Kit.revive kit name;
       (* TrustZone measures the world, not the component: code identity
          is the booted secure-world image for every service. One secure
          service per component dispatches its entry points, so all entry
          points share the component's store namespace. *)
-      Trustzone.register_service tz ~name (fun ctx arg ->
-          match Wire.decode arg with
-          | Some [ fn; req ] ->
-            (match List.assoc_opt fn services with
-             | Some service ->
-               Wire.encode [ "ok"; service (facilities ctx ~comp:name) req ]
-             | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-          | _ -> Wire.encode [ "err"; "malformed request" ]);
+      Trustzone.register_service tz ~name
+        (Substrate.Kit.serve_with services (facilities ~comp:name));
       Ok
-        (Substrate.make_component ~name ~measurement:world_measurement
-           ~state:(Svc_state name))
-    in
-    let svc_of c =
-      match Substrate.component_state c with
-      | Svc_state name -> name
-      | _ -> invalid_arg "substrate_trustzone: foreign component"
-    in
-    let span_attrs = [ ("substrate", "trustzone") ] in
-    let invoke c ~fn arg =
-      if not (is_alive c) then
-        Error (Substrate.crashed_error (Substrate.component_name c))
-      else
-      Lt_obs.Trace.with_span ~kind:"smc"
-        ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
-        ~attrs:span_attrs
-        (fun () ->
-          match Trustzone.smc tz ~service:(svc_of c) (Wire.encode [ fn; arg ]) with
-          | Error e ->
-            Lt_obs.Trace.fail_span e;
-            Error e
-          | Ok reply ->
-            (match Wire.decode reply with
-             | Some [ "ok"; out ] -> Ok out
-             | Some [ "err"; e ] ->
-               Lt_obs.Trace.fail_span e;
-               Error e
-             | _ ->
-               Lt_obs.Trace.fail_span "malformed secure-world reply";
-               Error "malformed secure-world reply"))
-    in
-    let attest c ~nonce ~claim =
-      ignore c;
-      let ev_no_tag =
-        { Attestation.ev_substrate = "trustzone";
-          ev_measurement = world_measurement;
-          ev_nonce = nonce;
-          ev_claim = claim;
-          ev_proof = Attestation.Hmac_tag { device = device_id; tag = "" } }
-      in
-      (* the tag is computed inside the secure world via a hidden service *)
-      let body = Attestation.signed_body ev_no_tag in
-      let tag_service ctx arg =
-        match Trustzone.fuse_read ctx ~name:device_key_name with
-        | Some key -> Hmac.mac ~key arg
-        | None -> ""
-      in
-      Trustzone.register_service tz ~name:"__lt_attest" tag_service;
-      (match Trustzone.smc tz ~service:"__lt_attest" body with
-       | Error e -> Error e
-       | Ok "" -> Error "device key not fused"
-       | Ok tag ->
-         Ok
-           { ev_no_tag with
-             Attestation.ev_proof = Attestation.Hmac_tag { device = device_id; tag } })
+        (Substrate.Kit.component ~name ~measurement:world_measurement
+           ~live:Substrate.Kit.until_crashed ~stop:ignore ~attest
+           (fun ~fn arg ->
+             match Trustzone.smc tz ~service:name (Wire.encode [ fn; arg ]) with
+             | Error e -> Error (Substrate.Fault e)
+             | Ok reply -> Substrate.Kit.reply reply))
     in
     let t =
-      { Substrate.properties;
-        launch;
-        invoke;
-        attest;
-        measure = (fun ~code -> ignore code; world_measurement);
-        destroy = (fun _ -> ());
-        crash;
-        is_alive;
-        snap_layers = [] }
+      Substrate.Kit.substrate kit ~properties ~span:"smc" ~launch
+        ~measure:(fun ~code -> ignore code; world_measurement)
     in
     t.Substrate.snap_layers <-
       [ Lt_hw.Machine.layer machine;
         Lt_world.Snapshottable.make ~name:"trustzone"
           ~take:(fun () -> Trustzone.take_snapshot tz)
           ~digest:(fun () -> Trustzone.state_digest tz);
-        Substrate.adapter_layer ~name:"substrate:trustzone" ~dead
-          ~tables:(Hashtbl.create 1) () ];
+        Substrate.Kit.layer kit ~name:"substrate:trustzone" () ];
     Ok (t, tz)

@@ -313,13 +313,13 @@ let run_ops ops =
                     if got <> expected then
                       fail "op %d (%s): %s disagrees with the model: expected %s, got %s"
                         opi (render_op op) sname (pp_obs expected) (pp_obs got);
-                    (* a typed refusal must never surface as a wrapped
-                       exception: the Service_failure channel carries the
-                       reason verbatim through every substrate hop *)
+                    (* a typed failure must never surface as a wrapped
+                       exception: refusals and crashes cross every
+                       substrate hop as typed errors, reasons verbatim *)
                     (match result with
-                     | Error (App.Failed { reason; _ })
+                     | Error (App.Failed { reason; _ } | App.Crashed { reason; _ })
                        when contains_sub ~needle:"Failure(" reason ->
-                       fail "op %d (%s): %s leaked an exception into a refusal: %s"
+                       fail "op %d (%s): %s leaked an exception into a failure: %s"
                          opi (render_op op) sname reason
                      | _ -> ()))
               deployments)

@@ -14,7 +14,9 @@
     model {e and} with every other substrate — a disagreement means an
     adapter enforces channels, reports crashes or carries the typed
     failure channel ({!Lateral.Substrate.Service_failure}) differently
-    from its peers.
+    from its peers. A refusal or crash whose reason carries a printed
+    OCaml exception (["Failure("]) fails the case too: reasons cross
+    every hop verbatim.
 
     The [storm] operation additionally deploys onto a microkernel with
     a tiny frame budget: exhaustion must surface as a typed

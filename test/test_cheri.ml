@@ -92,6 +92,12 @@ let test_overflow_containment () =
     (try ignore (Cheri.load m packet_view ~off:0 ~len:84); false
      with Cheri.Capability_fault _ -> true)
 
+(* invoke's answer, errors printed as the substrate renders them *)
+let answer c =
+  Alcotest.(
+    result string
+      (testable (fun ppf e -> Fmt.string ppf (Lateral.Substrate.render_error c e)) ( = )))
+
 let test_substrate_adapter () =
   let rng = Lt_crypto.Drbg.create 88L in
   let t, _, _ = Lateral.Substrate_cheri.make rng ~size:(1 lsl 16) () in
@@ -105,9 +111,9 @@ let test_substrate_adapter () =
   with
   | Error e -> Alcotest.fail e
   | Ok c ->
-    Alcotest.(check (result string string)) "put" (Ok "ok")
+    Alcotest.check (answer c) "put" (Ok "ok")
       (t.Lateral.Substrate.invoke c ~fn:"put" "v");
-    Alcotest.(check (result string string)) "get" (Ok "v")
+    Alcotest.check (answer c) "get" (Ok "v")
       (t.Lateral.Substrate.invoke c ~fn:"get" "");
     (match t.Lateral.Substrate.attest c ~nonce:"n" ~claim:"c" with
      | Error _ -> ()

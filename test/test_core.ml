@@ -16,12 +16,22 @@ let services =
     ("seal", fun fac req -> fac.Substrate.f_seal req);
     ("unseal",
      fun fac req ->
-       match fac.Substrate.f_unseal req with Some v -> v | None -> "DENIED") ]
+       match fac.Substrate.f_unseal req with Some v -> v | None -> "DENIED");
+    ("refuse", fun _fac req -> Substrate.fail req);
+    ("dep", fun _fac _req -> Substrate.dep_crashed ~origin:"db" "gone");
+    ("raise", fun _fac _req -> raise Not_found) ]
+
+(* invoke's answer, errors printed as the substrate renders them *)
+let answer c =
+  Alcotest.(
+    result string
+      (testable (fun ppf e -> Fmt.string ppf (Substrate.render_error c e)) ( = )))
 
 type setup = {
   substrate : Substrate.t;
   policy : measurement:string -> Attestation.policy;
   attest_works : bool;
+  clock : Lt_hw.Clock.t option; (* where the substrate charges its hops *)
 }
 
 let empty_policy ~measurement =
@@ -39,7 +49,8 @@ let setup_sgx () =
       (fun ~measurement ->
         { (empty_policy ~measurement) with
           Attestation.trusted_cas = [ ("intel", ca.Rsa.pub) ] });
-    attest_works = true }
+    attest_works = true;
+    clock = Some machine.Lt_hw.Machine.clock }
 
 let setup_trustzone () =
   let machine = Lt_hw.Machine.create ~dram_pages:64 () in
@@ -60,7 +71,8 @@ let setup_trustzone () =
         (fun ~measurement ->
           { (empty_policy ~measurement) with
             Attestation.shared_device_keys = [ ("meter-0001", device_key) ] });
-      attest_works = true }
+      attest_works = true;
+      clock = Some machine.Lt_hw.Machine.clock }
 
 let setup_sep () =
   let machine = Lt_hw.Machine.create ~dram_pages:64 () in
@@ -71,30 +83,34 @@ let setup_sep () =
       (fun ~measurement ->
         { (empty_policy ~measurement) with
           Attestation.shared_device_keys = [ ("phone-7", uid) ] });
-    attest_works = true }
+    attest_works = true;
+    clock = Some machine.Lt_hw.Machine.clock }
 
 let setup_flicker () =
   let rng = Drbg.create 14L in
   let ca = Rsa.generate ~bits:512 rng in
   let tpm = Lt_tpm.Tpm.manufacture rng ~ca_name:"tpm-vendor" ~ca_key:ca ~serial:"42" in
-  { substrate = Substrate_flicker.make tpm ();
+  let clock = Lt_hw.Clock.create () in
+  { substrate = Substrate_flicker.make tpm ~clock ();
     policy =
       (fun ~measurement ->
         { (empty_policy ~measurement) with
           Attestation.trusted_cas = [ ("tpm-vendor", ca.Rsa.pub) ] });
-    attest_works = true }
+    attest_works = true;
+    clock = Some clock }
 
 let setup_kernel () =
   let machine = Lt_hw.Machine.create ~dram_pages:128 () in
   let t, _k =
     Substrate_kernel.make machine (Lt_kernel.Sched.Round_robin { quantum = 500 }) ()
   in
-  { substrate = t; policy = empty_policy; attest_works = false }
+  { substrate = t; policy = empty_policy; attest_works = false;
+    clock = Some machine.Lt_hw.Machine.clock }
 
 let setup_cheri () =
   let rng = Drbg.create 16L in
   let t, _, _ = Substrate_cheri.make rng ~size:(1 lsl 17) () in
-  { substrate = t; policy = empty_policy; attest_works = false }
+  { substrate = t; policy = empty_policy; attest_works = false; clock = None }
 
 let setup_m3 () =
   let rng = Drbg.create 17L in
@@ -105,7 +121,8 @@ let setup_m3 () =
       (fun ~measurement ->
         { (empty_policy ~measurement) with
           Attestation.trusted_cas = [ ("m3-mfg", ca.Rsa.pub) ] });
-    attest_works = true }
+    attest_works = true;
+    clock = None }
 
 let setup_kernel_tpm () =
   let machine = Lt_hw.Machine.create ~dram_pages:128 () in
@@ -122,7 +139,8 @@ let setup_kernel_tpm () =
       (fun ~measurement ->
         { (empty_policy ~measurement) with
           Attestation.trusted_cas = [ ("tpm-vendor", ca.Rsa.pub) ] });
-    attest_works = true }
+    attest_works = true;
+    clock = Some machine.Lt_hw.Machine.clock }
 
 (* --- the conformance suite -------------------------------------------------- *)
 
@@ -131,27 +149,61 @@ let launch_ok t ~name =
   | Ok c -> c
   | Error e -> Alcotest.fail ("launch failed: " ^ e)
 
+(* Every failure class, on every substrate: the same typed error for
+   the same cause, returned (never raised) after the hop charged what a
+   successful one does. *)
+let failure_classes t ~clock c =
+  let ticks f =
+    let now () = Option.fold ~none:0 ~some:Lt_hw.Clock.now clock in
+    let t0 = now () in
+    let r = f () in
+    (r, now () - t0)
+  in
+  let _, echo_ticks =
+    ticks (fun () -> t.Substrate.invoke c ~fn:"echo" "policy says no")
+  in
+  List.iter
+    (fun (fn, expected) ->
+      let r, hop_ticks = ticks (fun () -> t.Substrate.invoke c ~fn "policy says no") in
+      Alcotest.check (answer c) fn expected r;
+      Alcotest.(check int) (fn ^ " charges a full hop") echo_ticks hop_ticks)
+    [ ("refuse", Error (Substrate.Refused "policy says no"));
+      ("dep", Error (Substrate.Dep_crashed { origin = "db"; reason = "gone" }));
+      ("raise", Error (Substrate.Fault "Not_found")) ];
+  (match t.Substrate.invoke c ~fn:"missing" "x" with
+   | Error (Substrate.Fault m) ->
+     Alcotest.(check bool) ("missing entry point named: " ^ m) true
+       (String.ends_with ~suffix:"entry point \"missing\"" m)
+   | r -> Alcotest.check (answer c) "unknown entry point" (Error (Substrate.Fault "")) r);
+  let doomed = launch_ok t ~name:"doomed" in
+  t.Substrate.crash doomed;
+  Alcotest.check (answer doomed) "crashed component" (Error Substrate.Crashed)
+    (t.Substrate.invoke doomed ~fn:"echo" "x");
+  Alcotest.(check string) "crash rendered" "component doomed crashed (killed)"
+    (Substrate.render_error doomed Substrate.Crashed);
+  let revived = launch_ok t ~name:"doomed" in
+  Alcotest.check (answer revived) "relaunch answers" (Ok "echo:x")
+    (t.Substrate.invoke revived ~fn:"echo" "x")
+
 let conformance setup () =
-  let { substrate = t; policy; attest_works } = setup () in
+  let { substrate = t; policy; attest_works; clock } = setup () in
   let c = launch_ok t ~name:"conformance" in
   (* invoke *)
-  Alcotest.(check (result string string)) "echo" (Ok "echo:hi")
+  Alcotest.check (answer c) "echo" (Ok "echo:hi")
     (t.Substrate.invoke c ~fn:"echo" "hi");
-  (match t.Substrate.invoke c ~fn:"missing" "x" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "unknown entry point accepted");
+  failure_classes t ~clock c;
   (* protected store persists across invocations *)
-  Alcotest.(check (result string string)) "put" (Ok "stored")
+  Alcotest.check (answer c) "put" (Ok "stored")
     (t.Substrate.invoke c ~fn:"put" "component-state");
-  Alcotest.(check (result string string)) "get" (Ok "component-state")
+  Alcotest.check (answer c) "get" (Ok "component-state")
     (t.Substrate.invoke c ~fn:"get" "");
   (* sealing roundtrip *)
   (match t.Substrate.invoke c ~fn:"seal" "sealed-payload" with
-   | Error e -> Alcotest.fail ("seal failed: " ^ e)
+   | Error e -> Alcotest.fail ("seal failed: " ^ Substrate.render_error c e)
    | Ok blob ->
-     Alcotest.(check (result string string)) "unseal" (Ok "sealed-payload")
+     Alcotest.check (answer c) "unseal" (Ok "sealed-payload")
        (t.Substrate.invoke c ~fn:"unseal" blob);
-     Alcotest.(check (result string string)) "garbage unseal denied" (Ok "DENIED")
+     Alcotest.check (answer c) "garbage unseal denied" (Ok "DENIED")
        (t.Substrate.invoke c ~fn:"unseal" "not-a-sealed-blob"));
   (* measurement prediction *)
   Alcotest.(check string) "measure predicts identity"
@@ -159,7 +211,7 @@ let conformance setup () =
     (Sha256.hex (Substrate.component_measurement c));
   (* component store isolation *)
   let c2 = launch_ok t ~name:"other" in
-  Alcotest.(check (result string string)) "store namespaced per component"
+  Alcotest.check (answer c2) "store namespaced per component"
     (Ok "EMPTY")
     (t.Substrate.invoke c2 ~fn:"get" "");
   (* attestation *)
@@ -226,7 +278,7 @@ let test_same_component_all_substrates () =
     (fun setup ->
       let { substrate = t; _ } = setup () in
       let c = launch_ok t ~name:"portable" in
-      Alcotest.(check (result string string))
+      Alcotest.check (answer c)
         ("portable echo on " ^ t.Substrate.properties.Substrate.substrate_name)
         (Ok "echo:42")
         (t.Substrate.invoke c ~fn:"echo" "42"))

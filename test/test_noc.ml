@@ -83,6 +83,12 @@ let test_measurement_recorded () =
   wire_echo t ~tile:1;
   Alcotest.(check bool) "measurement recorded" true (Noc.measurement t ~tile:1 <> None)
 
+(* invoke's answer, errors printed as the substrate renders them *)
+let answer c =
+  Alcotest.(
+    result string
+      (testable (fun ppf e -> Fmt.string ppf (Lateral.Substrate.render_error c e)) ( = )))
+
 let test_substrate_adapter_conformance_bits () =
   let rng = Lt_crypto.Drbg.create 99L in
   let ca = Lt_crypto.Rsa.generate ~bits:512 rng in
@@ -93,7 +99,7 @@ let test_substrate_adapter_conformance_bits () =
   with
   | Error e -> Alcotest.fail e
   | Ok c ->
-    Alcotest.(check (result string string)) "invoke" (Ok "r:1")
+    Alcotest.check (answer c) "invoke" (Ok "r:1")
       (t.Lateral.Substrate.invoke c ~fn:"f" "1");
     (match t.Lateral.Substrate.attest c ~nonce:"n" ~claim:"x" with
      | Ok ev ->
