@@ -71,8 +71,8 @@ let fig1_containment () =
                (App.manifests app)
            in
            (match (caller, man.Manifest.network_facing) with
-            | Some c, _ -> ignore (App.call app ~caller:(Some c) ~target:name ~service:svc "x")
-            | None, true -> ignore (App.call app ~caller:None ~target:name ~service:svc "x")
+            | Some c, _ -> ignore (App.call_typed app ~caller:(Some c) ~target:name ~service:svc "x")
+            | None, true -> ignore (App.call_typed app ~caller:None ~target:name ~service:svc "x")
             | None, false -> ())
          | [] -> ());
         let allowed =

@@ -538,21 +538,6 @@ let cmd_flow files format dot conform =
 
 (* --- check: delta-driven incremental analysis -------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cmd_check files deltas_file format verify =
   if files = [] then begin
     Printf.eprintf "check: no manifest file given\n";
@@ -616,7 +601,7 @@ let cmd_check files deltas_file format verify =
            Buffer.add_string steps
              (Printf.sprintf
                 "{\"step\":%d,\"delta\":\"%s\",\"components\":%d,\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d},\"flow\":\"%s\"}"
-                n (json_escape what)
+                n (Lt_obs.Metrics.json_escape what)
                 (List.length (Check.manifests st))
                 s.Lint.errors s.Lint.warnings s.Lint.infos (flow_word st)));
         if verify && !diverged = None then

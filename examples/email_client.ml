@@ -104,7 +104,7 @@ let () =
   let app = scenario_ok (Scenario_mail.build ~vertical:false) in
   App.compromise app "renderer";
   (* the ui asks the (now hostile) renderer to render a message *)
-  ignore (App.call app ~caller:(Some "ui") ~target:"renderer" ~service:"render"
+  ignore (App.call_typed app ~caller:(Some "ui") ~target:"renderer" ~service:"render"
             "<html>exploit</html>");
   let attempts = App.exfiltration_attempts app "renderer" in
   let allowed = List.filter (fun (_, _, ok) -> ok) attempts in
@@ -147,16 +147,16 @@ let () =
           ~connects_to:[ Manifest.conn "mail-tls" "transmit" ]
           ~substrate:"microkernel" (),
         fun ctx ~service:_ req ->
-          match ctx.Deploy.call_out ~target:"mail-tls" ~service:"transmit" req with
+          match ctx.Deploy.call ~target:"mail-tls" ~service:"transmit" req with
           | Ok r -> "inbox<- " ^ r
-          | Error e -> "ui error: " ^ e );
+          | Error e -> "ui error: " ^ App.render_call_error e );
       ( Manifest.v ~name:"mail-tls" ~provides:[ "transmit" ]
           ~connects_to:[ Manifest.conn "mail-keystore" "sign" ]
           ~substrate:"sgx" (),
         fun ctx ~service:_ req ->
-          match ctx.Deploy.call_out ~target:"mail-keystore" ~service:"sign" req with
+          match ctx.Deploy.call ~target:"mail-keystore" ~service:"sign" req with
           | Ok s -> Printf.sprintf "%s [authenticated %s]" req s
-          | Error e -> "tls error: " ^ e );
+          | Error e -> "tls error: " ^ App.render_call_error e );
       ( Manifest.v ~name:"mail-keystore" ~provides:[ "sign" ] ~substrate:"sep" (),
         fun ctx ~service:_ req ->
           let key =

@@ -1,6 +1,13 @@
+type call_error =
+  | Unknown_component of { caller : string; target : string; service : string }
+  | Unknown_service of { target : string; service : string }
+  | Denied of { caller : string; target : string; service : string }
+  | Crashed of { target : string; reason : string }
+  | Failed of { target : string; reason : string }
+
 type ctx = {
   self : string;
-  call : target:string -> service:string -> string -> (string, string) result;
+  call : target:string -> service:string -> string -> (string, call_error) result;
 }
 
 type behaviour = ctx -> service:string -> string -> string
@@ -9,6 +16,7 @@ type violation = { v_caller : string; v_target : string; v_service : string }
 
 type comp = {
   man : Manifest.t;
+  ctx : ctx; (* built once at [add]: its [call] is the component's own *)
   mutable behave : behaviour;
   mutable owned : bool;      (* compromised *)
   mutable scanned : bool;    (* compromised payload already ran its sweep *)
@@ -21,15 +29,6 @@ type t = {
 }
 
 let create () = { comps = Hashtbl.create 16; viols = [] }
-
-let add t man behave =
-  if Hashtbl.mem t.comps man.Manifest.name then
-    invalid_arg (Printf.sprintf "App.add: duplicate component %s" man.Manifest.name);
-  Hashtbl.replace t.comps man.Manifest.name
-    { man; behave; owned = false; scanned = false; attempts = [] }
-
-let add_stub t man =
-  add t man (fun _ ~service req -> Printf.sprintf "%s:%s:%s" man.Manifest.name service req)
 
 let validate t =
   let dangling = ref [] in
@@ -79,15 +78,8 @@ let authorized t ~caller ~target ~service =
          (fun conn -> conn.Manifest.target = target && conn.Manifest.service = service)
          c.man.Manifest.connects_to)
 
-type call_error =
-  | Unknown_component of { caller : string; target : string; service : string }
-  | Unknown_service of { target : string; service : string }
-  | Denied of { caller : string; target : string; service : string }
-  | Crashed of { target : string; reason : string }
-  | Failed of { target : string; reason : string }
-
-(* renders exactly the strings [call] has always returned, so string
-   consumers and goldens are unaffected by the typed layer underneath *)
+(* renders exactly the strings the string-typed call path always
+   returned, so string consumers and goldens see the same bytes *)
 let render_call_error = function
   | Unknown_component { target; _ } -> Printf.sprintf "no component %S" target
   | Unknown_service { target; service } ->
@@ -126,17 +118,13 @@ let rec call_typed t ~caller ~target ~service req =
     else if not (List.mem service comp.man.Manifest.provides) then
       Error (Unknown_service { target; service })
     else begin
-      let ctx =
-        { self = target;
-          call = (fun ~target:t2 ~service:s2 r -> call t ~caller:(Some target) ~target:t2 ~service:s2 r) }
-      in
-      if comp.owned then run_payload t comp ctx;
+      if comp.owned then run_payload t comp;
       try
         Ok
           (Lt_obs.Trace.with_span ~kind:"call"
              ~name:(Lt_obs.Trace.span_name target service)
              ~attrs:(Lt_obs.Trace.attr "caller" caller_name)
-             (fun () -> comp.behave ctx ~service req))
+             (fun () -> comp.behave comp.ctx ~service req))
       with
       | Substrate.Service_failure reason ->
         Error (Failed { target; reason })
@@ -148,12 +136,9 @@ let rec call_typed t ~caller ~target ~service req =
         Error (Crashed { target; reason = Printexc.to_string exn })
     end
 
-and call t ~caller ~target ~service req =
-  Result.map_error render_call_error (call_typed t ~caller ~target ~service req)
-
 (* the attacker's payload: sweep every (component, service) in the app
    and record which channels the runtime lets through *)
-and run_payload t comp ctx =
+and run_payload t comp =
   if not comp.scanned then begin
     comp.scanned <- true;
     let targets =
@@ -167,13 +152,25 @@ and run_payload t comp ctx =
     List.iter
       (fun (target, service) ->
         let allowed =
-          match ctx.call ~target ~service "exfiltrate" with
+          match comp.ctx.call ~target ~service "exfiltrate" with
           | Ok _ -> true
           | Error _ -> false
         in
         comp.attempts <- (target, service, allowed) :: comp.attempts)
       targets
   end
+
+let add t man behave =
+  let name = man.Manifest.name in
+  if Hashtbl.mem t.comps name then
+    invalid_arg (Printf.sprintf "App.add: duplicate component %s" name);
+  let call ~target ~service r = call_typed t ~caller:(Some name) ~target ~service r in
+  Hashtbl.replace t.comps name
+    { man; ctx = { self = name; call }; behave; owned = false; scanned = false;
+      attempts = [] }
+
+let add_stub t man =
+  add t man (fun _ ~service req -> Printf.sprintf "%s:%s:%s" man.Manifest.name service req)
 
 let violations t = List.rev t.viols
 

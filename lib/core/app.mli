@@ -8,11 +8,30 @@
     containment claim: a subverted component keeps only its declared
     authority. *)
 
-(** What a behaviour receives. *)
+(** Why a call did not produce an answer, as a routing decision rather
+    than a string — supervisors restart on [Crashed], never on [Denied]
+    (a policy decision is not a fault). *)
+type call_error =
+  | Unknown_component of { caller : string; target : string; service : string }
+      (** no such component; recorded as a deny-style trace event and the
+          [channel/unknown_target] counter, never a raise *)
+  | Unknown_service of { target : string; service : string }
+  | Denied of { caller : string; target : string; service : string }
+  | Crashed of { target : string; reason : string }
+  | Failed of { target : string; reason : string }
+      (** the component answered on purpose with a refusal
+          ({!Substrate.Service_failure}): it is healthy, the request is
+          not. Never retried, never restarted. *)
+
+(** What a behaviour receives, built once per component at {!add}. *)
 type ctx = {
   self : string;
-  call : target:string -> service:string -> string -> (string, string) result;
-      (** outbound calls, subject to the caller's manifest *)
+  call : target:string -> service:string -> string -> (string, call_error) result;
+      (** the component's one outbound call, subject to its manifest;
+          the failure keeps its class, so a behaviour can cascade a dead
+          dependency as a fault and a refusal as its own
+          {!Substrate.fail}. String users render it with
+          {!render_call_error}. *)
 }
 
 (** [behaviour ctx ~service request] handles one entry point. *)
@@ -45,37 +64,17 @@ val manifest : t -> string -> Manifest.t option
     unknown names. *)
 val set_behaviour : t -> string -> behaviour -> unit
 
-(** Why a call did not produce an answer, as a routing decision rather
-    than a string — supervisors restart on [Crashed], never on [Denied]
-    (a policy decision is not a fault). *)
-type call_error =
-  | Unknown_component of { caller : string; target : string; service : string }
-      (** no such component; recorded as a deny-style trace event and the
-          [channel/unknown_target] counter, never a raise *)
-  | Unknown_service of { target : string; service : string }
-  | Denied of { caller : string; target : string; service : string }
-  | Crashed of { target : string; reason : string }
-  | Failed of { target : string; reason : string }
-      (** the component answered on purpose with a refusal
-          ({!Substrate.Service_failure}): it is healthy, the request is
-          not. Never retried, never restarted. *)
-
-(** The exact strings {!call} has always returned for each case. *)
+(** The one renderer of a {!call_error}: the bytes every report, trace
+    and golden carries for each case. *)
 val render_call_error : call_error -> string
 
-(** [call_typed t ~caller ~target ~service req] — like {!call} but the
-    failure keeps its shape. *)
+(** [call_typed t ~caller ~target ~service req] — [caller = None] means
+    the outside world (network, user), which may only reach components
+    marked [network_facing]. Blocked calls are recorded as
+    {!violations}. *)
 val call_typed :
   t -> caller:string option -> target:string -> service:string -> string ->
   (string, call_error) result
-
-(** [call t ~caller ~target ~service req] — [caller = None] means the
-    outside world (network, user), which may only reach components
-    marked [network_facing]. [{!call_typed} |> Result.map_error
-    {!render_call_error}]. *)
-val call :
-  t -> caller:string option -> target:string -> service:string -> string ->
-  (string, string) result
 
 (** [violations t] — every blocked call so far, oldest first. *)
 val violations : t -> violation list
@@ -94,7 +93,7 @@ val exfiltration_attempts : t -> string -> (string * string * bool) list
 (** [authorized t ~caller ~target ~service] — the channel policy alone:
     would this call be connected? ([caller = None] is the outside world,
     admitted only to [network_facing] targets.) No events, no violation
-    records — {!call} is the enforcing path. *)
+    records — {!call_typed} is the enforcing path. *)
 val authorized :
   t -> caller:string option -> target:string -> service:string -> bool
 

@@ -193,7 +193,7 @@ let diags_of_cache lint_cache =
 (* --- create ------------------------------------------------------------------ *)
 
 let create ?(config = Lint_rules.default_config) ?dram_pages manifests =
-  let manifests = Flow.dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let fconfig = { Flow.secret_substrates = config.Lint_rules.secret_substrates } in
   let nodes = List.map (fun m -> m.Manifest.name) manifests in
   let holds_secret m =
@@ -925,7 +925,7 @@ let full_equiv t = divergence t = None
 (* --- per-trust-domain slice ---------------------------------------------------- *)
 
 let domain_slice t tenant =
-  let path = Flow.trust_paths t.manifests in
+  let path = Manifest.trust_paths t.manifests in
   let mine n = match path n with [] -> false | x :: _ -> x = tenant in
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -944,14 +944,14 @@ let domain_slice t tenant =
     (fun l ->
       if mine l.Flow.l_secret then
         add "  %s -> %s via %s\n" l.Flow.l_secret l.Flow.l_sink
-          (String.concat " -> " l.Flow.l_path))
+          (Manifest.path_string l.Flow.l_path))
     t.flow.Flow.leaks;
   add "taint hits:\n";
   List.iter
     (fun h ->
       if mine h.Flow.t_source then
         add "  %s -> %s via %s\n" h.Flow.t_source h.Flow.t_sink
-          (String.concat " -> " h.Flow.t_path))
+          (Manifest.path_string h.Flow.t_path))
     t.flow.Flow.taint_hits;
   add "contain:\n";
   List.iter

@@ -14,12 +14,6 @@ let impact_to_string = function
   | Restarted -> "restarted"
   | Failed -> "failed"
 
-let impact_of_string = function
-  | "degraded" -> Some Degraded
-  | "restarted" -> Some Restarted
-  | "failed" -> Some Failed
-  | _ -> None
-
 type config = { supervised : bool; spof_fraction : float }
 
 let default_config = { supervised = true; spof_fraction = 0.5 }
@@ -150,18 +144,6 @@ let edge_kinds =
 
 type edge = { p_src : string; p_dst : string; p_kind : kind }
 
-(* first manifest wins on duplicate names, matching Lint_rules.make_ctx *)
-let dedupe manifests =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun m ->
-      if Hashtbl.mem seen m.Manifest.name then false
-      else begin
-        Hashtbl.replace seen m.Manifest.name ();
-        true
-      end)
-    manifests
-
 let crash_impact m =
   match m.Manifest.restart with
   | Some r
@@ -252,7 +234,7 @@ let storm_groups index domain_members =
   end
 
 let prop_edges cfg manifests =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let index = Hashtbl.create 16 in
   List.iter (fun m -> Hashtbl.replace index m.Manifest.name m) manifests;
   let channel_kind = if cfg.supervised then Channel_bounded else Channel_blocked in
@@ -357,7 +339,7 @@ type graph = {
 }
 
 let graph _cfg manifests edges =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let n = List.length manifests in
   let g_id = Hashtbl.create ((2 * n) + 1) in
   let g_name = Array.make n "" in
@@ -515,11 +497,36 @@ let assemble _cfg _manifests edges radii =
     verdict = (if escapes = [] then Contained else Uncontained escapes) }
 
 let analyze ?(config = default_config) manifests =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let edges = prop_edges config manifests in
   let g = graph config manifests edges in
   let radii = List.map (fun m -> radius_of g m.Manifest.name) manifests in
   assemble config manifests edges radii
+
+(* --- observed ⊆ predicted ------------------------------------------------------ *)
+
+(* the worst impact the killed roots' radii allow on [c]; a component
+   killed more than once may exhaust its own restart budget, so it may
+   end Failed whatever its radius says *)
+let allowed r ~killed c =
+  if List.exists (fun (k, n) -> k = c && n > 1) killed then Some Failed
+  else
+    List.fold_left
+      (fun acc rad ->
+        if not (List.mem_assoc rad.r_root killed) then acc
+        else
+          match (List.assoc_opt c rad.r_hit, acc) with
+          | Some im, Some a when rank im <= rank a -> acc
+          | Some im, _ -> Some im
+          | None, _ -> acc)
+      None r.radii
+
+let escapes r ~killed observed =
+  List.filter_map
+    (fun (c, im) ->
+      let a = allowed r ~killed c in
+      if rank im > Option.fold ~none:0 ~some:rank a then Some (c, im, a) else None)
+    observed
 
 (* --- incremental support ---------------------------------------------------- *)
 
@@ -564,8 +571,6 @@ let dirty_roots ~old_edges ~new_edges ~touched =
 
 (* --- reports ---------------------------------------------------------------- *)
 
-let path_str p = String.concat " -> " p
-
 let render_text ~file r =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -593,7 +598,7 @@ let render_text ~file r =
          | Some { r_escape = Some x; _ } ->
            add "  %s never heals and hits %d component(s) outside its domain, worst %s (%s): %s\n"
              root x.x_outside x.x_victim (impact_to_string x.x_impact)
-             (path_str x.x_path)
+             (Manifest.path_string x.x_path)
          | _ -> ())
        roots);
   Buffer.contents buf
@@ -648,7 +653,7 @@ let render_json ~file r =
     radii edges
 
 let to_dot manifests r =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let escapes =
@@ -693,17 +698,8 @@ let to_dot manifests r =
    empty (shared root-domain infrastructure is never disjoint from a
    tenant, so fate-sharing through it is reported, not hidden). *)
 
-let trust_paths manifests =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      if not (Hashtbl.mem tbl m.Manifest.name) then
-        Hashtbl.add tbl m.Manifest.name m.Manifest.trust_domain)
-    manifests;
-  fun n -> Option.value ~default:[] (Hashtbl.find_opt tbl n)
-
 let cross_tenant_radius manifests r =
-  let path = trust_paths manifests in
+  let path = Manifest.trust_paths manifests in
   List.concat_map
     (fun rad ->
       List.filter_map
@@ -717,7 +713,7 @@ let cross_tenant_radius manifests r =
     r.radii
 
 let tenant_verdicts manifests r =
-  let path = trust_paths manifests in
+  let path = Manifest.trust_paths manifests in
   let tenant n = match path n with [] -> None | t :: _ -> Some t in
   let ts =
     List.filter_map Manifest.tenant_of manifests

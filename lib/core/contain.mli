@@ -30,8 +30,6 @@ val rank : impact -> int
 
 val impact_to_string : impact -> string  (** ["degraded"] etc. *)
 
-val impact_of_string : string -> impact option
-
 type config = {
   supervised : bool;
       (** [true] (default): callers reach dead callees through the
@@ -190,6 +188,23 @@ type result = {
     structurally equal results. *)
 val analyze : ?config:config -> Manifest.t list -> result
 
+(** {2 Observed ⊆ predicted}
+
+    The one soundness audit every fault harness runs: {!Lt_resil.Chaos}
+    through the [test_resil] property and the [contain] hunt engine,
+    {!Lt_fleet.Fleet_chaos} on every fleet report. *)
+
+(** [escapes r ~killed observed] — every observed [(component, impact)]
+    worse than the worst impact the radii of the [killed] roots allow
+    on it, paired with that allowance ([None] = untouched). [killed]
+    counts how often each root was killed: a component killed more than
+    once may end [Failed] (repeat kills can exhaust its own restart
+    budget). Roots without a radius in [r] allow nothing. Order follows
+    [observed]. *)
+val escapes :
+  result -> killed:(string * int) list -> (string * impact) list ->
+  (string * impact * impact option) list
+
 (** {2 Reports} *)
 
 val render_text : file:string -> result -> string
@@ -233,10 +248,6 @@ val dirty_roots :
 
     A blast radius belongs to the tenant (outermost trust-domain
     element) of its root; root-domain components belong to no tenant. *)
-
-(** [(component -> trust path)] lookup over the manifests, first
-    manifest wins; unknown names map to the root path. *)
-val trust_paths : Manifest.t list -> string -> string list
 
 (** One verdict per tenant: [Uncontained] lists exactly the escaping
     roots under that tenant. *)

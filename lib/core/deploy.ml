@@ -1,16 +1,14 @@
 type ctx = {
   facilities : Substrate.facilities;
-  call_out : target:string -> service:string -> string -> (string, string) result;
-  call_out_typed :
-    target:string -> service:string -> string -> (string, App.call_error) result;
+  call : target:string -> service:string -> string -> (string, App.call_error) result;
 }
 
 type behaviour = ctx -> service:string -> string -> string
 
 (* a precomputed dispatch edge: everything [call] would look up per
    request, resolved once at [resolve] time.  [r_ctx] is filled lazily
-   from the facilities cache after the first slow call through the
-   target (facilities only surface when a service actually runs). *)
+   from the target instance's ctx after the first slow call through it
+   (facilities only surface when a service actually runs). *)
 type route = {
   r_caller : string option;
   r_target : string;
@@ -20,15 +18,20 @@ type route = {
   mutable r_ctx : ctx option;
 }
 
+(* one launched instance of a component; [i_ctx] is its behaviours'
+   ctx, built on the instance's first service run *)
+type instance = {
+  i_sub : Substrate.t;
+  i_comp : Substrate.component;
+  i_ctx : ctx option ref;
+}
+
 type t = {
   app : App.t; (* manifests + channel policy; behaviours delegate below *)
-  placements : (string, Substrate.t * Substrate.component) Hashtbl.t;
+  placements : (string, instance) Hashtbl.t;
   specs : (string, Manifest.t * behaviour) Hashtbl.t;
       (* what was asked for, kept so a crashed component can be
          relaunched from its original spec *)
-  facil : (string, Substrate.facilities) Hashtbl.t;
-      (* facilities captured the first time each component's service
-         actually runs; invalidated on crash/relaunch *)
   routes : (string option * string * string, route) Hashtbl.t;
 }
 
@@ -52,37 +55,38 @@ let bridge sub comp _ctx ~service req =
      | Crashed -> Substrate.dep_crashed ~origin:name "killed"
      | Fault reason -> Substrate.dep_crashed ~origin:name reason)
 
-let services_for ~self ~name ~behaviour provides =
-  let service_for svc =
-    ( svc,
-      fun facilities req ->
-        (* stash the facilities so the fast path can build its ctx; one
-           [mem] per slow call once cached *)
-        (match !self with
-         | Some t when not (Hashtbl.mem t.facil name) ->
-           Hashtbl.replace t.facil name facilities
-         | _ -> ());
-        let call_out_typed ~target ~service r =
-          match !self with
-          | None ->
-            Error (App.Failed { target; reason = "router not ready" })
-          | Some t -> App.call_typed t.app ~caller:(Some name) ~target ~service r
-        in
-        let call_out ~target ~service r =
-          match !self with
-          | None -> Error "router not ready"
-          | Some t -> App.call t.app ~caller:(Some name) ~target ~service r
-        in
-        behaviour { facilities; call_out; call_out_typed } ~service:svc req )
+(* One instance's entry points. The outbound [call] is built once per
+   launch and the ctx once per facilities record the substrate hands in,
+   so a service run allocates neither. That is one ctx per instance,
+   except after a world restore to before its first run: SGX then
+   rebuilds the facilities over fresh state, and the ctx must follow. *)
+let services_for app ~ctx ~name ~behaviour provides =
+  let call ~target ~service r = App.call_typed app ~caller:(Some name) ~target ~service r in
+  let ctx_of facilities =
+    match !ctx with
+    | Some c when c.facilities == facilities -> c
+    | _ ->
+      let c = { facilities; call } in
+      ctx := Some c;
+      c
   in
-  List.map service_for provides
+  List.map
+    (fun svc -> (svc, fun facilities req -> behaviour (ctx_of facilities) ~service:svc req))
+    provides
+
+(* launch [name] on [sub]: the instance plus the [App] behaviour that
+   bridges into it *)
+let launch app sub ~name ~behaviour provides =
+  let ctx = ref None in
+  Result.map
+    (fun comp -> ({ i_sub = sub; i_comp = comp; i_ctx = ctx }, bridge sub comp))
+    (sub.Substrate.launch ~name ~code:("component|" ^ name)
+       ~services:(services_for app ~ctx ~name ~behaviour provides))
 
 let deploy ~substrates components =
   let app = App.create () in
   let placements = Hashtbl.create 8 in
   let specs = Hashtbl.create 8 in
-  (* tie the routing knot: component services capture this ref *)
-  let self : t option ref = ref None in
   let launch_one (man, behaviour) =
     let name = man.Manifest.name in
     match List.assoc_opt man.Manifest.substrate substrates with
@@ -91,15 +95,12 @@ let deploy ~substrates components =
         (Printf.sprintf "component %s names unknown substrate %S" name
            man.Manifest.substrate)
     | Some sub ->
-      (match
-         sub.Substrate.launch ~name ~code:("component|" ^ name)
-           ~services:(services_for ~self ~name ~behaviour man.Manifest.provides)
-       with
+      (match launch app sub ~name ~behaviour man.Manifest.provides with
        | Error e -> Error (Printf.sprintf "launching %s: %s" name e)
-       | Ok comp ->
-         Hashtbl.replace placements name (sub, comp);
+       | Ok (inst, bridged) ->
+         Hashtbl.replace placements name inst;
          Hashtbl.replace specs name (man, behaviour);
-         App.add app man (bridge sub comp);
+         App.add app man bridged;
          Ok ())
   in
   let rec go = function
@@ -111,20 +112,13 @@ let deploy ~substrates components =
   | Ok () ->
     (match App.validate app with
      | Error errs -> Error ("manifest validation: " ^ String.concat "; " errs)
-     | Ok () ->
-       let t =
-         { app; placements; specs;
-           facil = Hashtbl.create 8;
-           routes = Hashtbl.create 16 }
-       in
-       self := Some t;
-       Ok t)
-
-let call t ~caller ~target ~service req =
-  App.call t.app ~caller ~target ~service req
+     | Ok () -> Ok { app; placements; specs; routes = Hashtbl.create 16 })
 
 let call_typed t ~caller ~target ~service req =
   App.call_typed t.app ~caller ~target ~service req
+
+let call t ~caller ~target ~service req =
+  Result.map_error App.render_call_error (call_typed t ~caller ~target ~service req)
 
 let components t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.placements []
@@ -132,41 +126,36 @@ let components t =
 
 let manifest t name = App.manifest t.app name
 
-(* a crashed or relaunched instance invalidates its cached facilities
-   and any route ctx built from them; the next slow call re-captures *)
+(* a crashed or relaunched instance invalidates any route ctx built
+   from it; the next slow call re-primes from the live instance *)
 let invalidate_fast t name =
-  Hashtbl.remove t.facil name;
   Hashtbl.iter (fun _ r -> if r.r_target = name then r.r_ctx <- None) t.routes
 
 let crash t name =
   match Hashtbl.find_opt t.placements name with
   | None -> Error (Printf.sprintf "no component %S" name)
-  | Some (sub, comp) ->
-    sub.Substrate.crash comp;
+  | Some { i_sub; i_comp; _ } ->
+    i_sub.Substrate.crash i_comp;
     invalidate_fast t name;
     Ok ()
 
 let is_alive t name =
   match Hashtbl.find_opt t.placements name with
   | None -> false
-  | Some (sub, comp) -> sub.Substrate.is_alive comp
+  | Some { i_sub; i_comp; _ } -> i_sub.Substrate.is_alive i_comp
 
 let relaunch t name =
   match (Hashtbl.find_opt t.placements name, Hashtbl.find_opt t.specs name) with
   | None, _ | _, None -> Error (Printf.sprintf "no component %S" name)
-  | Some (sub, old_comp), Some (man, behaviour) ->
+  | Some { i_sub = sub; i_comp = old_comp; _ }, Some (man, behaviour) ->
     (* crash-only: there is no graceful stop, a live instance is killed
        before its replacement comes up *)
     if sub.Substrate.is_alive old_comp then sub.Substrate.crash old_comp;
-    let self = ref (Some t) in
-    (match
-       sub.Substrate.launch ~name ~code:("component|" ^ name)
-         ~services:(services_for ~self ~name ~behaviour man.Manifest.provides)
-     with
+    (match launch t.app sub ~name ~behaviour man.Manifest.provides with
      | Error e -> Error (Printf.sprintf "relaunching %s: %s" name e)
-     | Ok comp ->
-       Hashtbl.replace t.placements name (sub, comp);
-       App.set_behaviour t.app name (bridge sub comp);
+     | Ok (inst, bridged) ->
+       Hashtbl.replace t.placements name inst;
+       App.set_behaviour t.app name bridged;
        invalidate_fast t name;
        Ok ())
 
@@ -174,35 +163,25 @@ let violations t = App.violations t.app
 
 let substrate_of t name =
   Option.map
-    (fun (sub, _) -> sub.Substrate.properties.Substrate.substrate_name)
+    (fun i -> i.i_sub.Substrate.properties.Substrate.substrate_name)
     (Hashtbl.find_opt t.placements name)
 
 (* scrub-everything fencing: destroy (not crash) so substrate adapters
    drop sealed state too, then forget the specs so nothing relaunches *)
 let destroy t =
-  Hashtbl.iter (fun _ (sub, comp) -> sub.Substrate.destroy comp) t.placements;
+  Hashtbl.iter (fun _ i -> i.i_sub.Substrate.destroy i.i_comp) t.placements;
   Hashtbl.reset t.placements;
   Hashtbl.reset t.specs;
-  Hashtbl.reset t.facil;
   Hashtbl.reset t.routes
 
 let attest t ~component ~nonce ~claim =
   match Hashtbl.find_opt t.placements component with
   | None -> Error (Printf.sprintf "no component %S" component)
-  | Some (sub, comp) -> sub.Substrate.attest comp ~nonce ~claim
+  | Some { i_sub; i_comp; _ } -> i_sub.Substrate.attest i_comp ~nonce ~claim
 
 (* --- the zero-alloc fast path ----------------------------------------- *)
 
 exception Call_failed of App.call_error
-
-let ctx_for t name facilities =
-  { facilities;
-    call_out =
-      (fun ~target ~service r ->
-        App.call t.app ~caller:(Some name) ~target ~service r);
-    call_out_typed =
-      (fun ~target ~service r ->
-        App.call_typed t.app ~caller:(Some name) ~target ~service r) }
 
 (* Routes exist only for statically authorized edges: the manifest graph
    is fixed at deploy time (compromise changes behaviour, never
@@ -233,8 +212,8 @@ let resolve t ~caller ~target ~service =
 
 (* The slow half: the full enforcing pipeline (spans, deny events,
    payload sweeps, the substrate hop).  On success it primes [r_ctx]
-   from the facilities the call just surfaced, so the next fast call
-   skips the transport. *)
+   with the ctx the target instance's service just ran with, so the
+   next fast call skips the transport. *)
 let call_slow t route req =
   match
     call_typed t ~caller:route.r_caller ~target:route.r_target
@@ -242,9 +221,8 @@ let call_slow t route req =
   with
   | Ok r ->
     (if route.r_ctx = None then
-       match Hashtbl.find_opt t.facil route.r_target with
-       | Some facilities ->
-         route.r_ctx <- Some (ctx_for t route.r_target facilities)
+       match Hashtbl.find_opt t.placements route.r_target with
+       | Some i -> route.r_ctx <- !(i.i_ctx)
        | None -> ());
     r
   | Error e -> raise (Call_failed e)
@@ -260,7 +238,7 @@ let call_fast t route req =
     when (not (Lt_obs.Trace.enabled ()))
          && (not (route.r_owned ()))
          && (match Hashtbl.find t.placements route.r_target with
-             | sub, comp -> sub.Substrate.is_alive comp
+             | i -> i.i_sub.Substrate.is_alive i.i_comp
              | exception Not_found -> false) ->
     route.r_behaviour ctx ~service:route.r_service req
   | _ -> call_slow t route req
@@ -275,7 +253,6 @@ let take_snapshot t =
   let app = App.take_snapshot t.app in
   let placements = Snap.save_hashtbl t.placements in
   let specs = Snap.save_hashtbl t.specs in
-  let facil = Snap.save_hashtbl t.facil in
   let routes = Snap.save_hashtbl t.routes in
   let per_route =
     Hashtbl.fold
@@ -288,21 +265,20 @@ let take_snapshot t =
     app ();
     placements ();
     specs ();
-    facil ();
     routes ();
     List.iter (fun restore -> restore ()) per_route
 
-(* placements/specs/facil hold closures; App's digest plus which names
+(* placements/specs hold closures; App's digest plus which names
    are placed covers the observable control-plane state (substrate
    internals are their own layers) *)
 let state_digest t =
   let d = App.state_digest t.app in
   let d = D64.int d (Hashtbl.length t.placements) in
   List.fold_left
-    (fun d (name, (sub, comp)) ->
+    (fun d (name, i) ->
       let d = D64.string d name in
-      let d = D64.string d sub.Substrate.properties.Substrate.substrate_name in
-      D64.bool d (sub.Substrate.is_alive comp))
+      let d = D64.string d i.i_sub.Substrate.properties.Substrate.substrate_name in
+      D64.bool d (i.i_sub.Substrate.is_alive i.i_comp))
     d
     (Snap.sorted_bindings t.placements)
 
@@ -320,7 +296,7 @@ let world ?(extra = []) t =
   let w = World.create () in
   let subs =
     Hashtbl.fold
-      (fun _ (sub, _) acc -> if List.memq sub acc then acc else sub :: acc)
+      (fun _ i acc -> if List.memq i.i_sub acc then acc else i.i_sub :: acc)
       t.placements []
   in
   List.iter (fun sub -> World.add_all w sub.Substrate.snap_layers) (List.rev subs);

@@ -9,16 +9,18 @@
     IPC, ...). Component code gets both its substrate {!Substrate.facilities}
     and a router handle for outbound calls. *)
 
+(** What a behaviour receives: one per launched instance, built on its
+    first service run and reused by every later run and by the fast
+    path. *)
 type ctx = {
   facilities : Substrate.facilities;
       (** seal/store on the component's own substrate *)
-  call_out : target:string -> service:string -> string -> (string, string) result;
-      (** routed, manifest-checked outbound call *)
-  call_out_typed :
-    target:string -> service:string -> string -> (string, App.call_error) result;
-      (** same call, failure keeps its class — so a behaviour can cascade
-          a dead dependency as a fault and a refusal as its own
-          {!Substrate.fail} *)
+  call : target:string -> service:string -> string -> (string, App.call_error) result;
+      (** the one routed, manifest-checked outbound call, as
+          {!App.ctx}'s: the failure keeps its class, so a behaviour can
+          cascade a dead dependency as a fault and a refusal as its own
+          {!Substrate.fail}; string users render it with
+          {!App.render_call_error} *)
 }
 
 type behaviour = ctx -> service:string -> string -> string
@@ -33,20 +35,22 @@ val deploy :
   (Manifest.t * behaviour) list ->
   (t, string) result
 
-(** [call t ~caller ~target ~service req] — entry from the outside world
-    ([caller = None], only into network-facing components) or on behalf
-    of a component. Channel checks are identical to {!App.call}. *)
-val call :
-  t -> caller:string option -> target:string -> service:string -> string ->
-  (string, string) result
-
-(** [call_typed] — like {!call} with the failure kept as a routing
-    decision ({!App.call_error}); what supervisors and circuit breakers
-    classify on. An unknown target is a typed error plus a deny-style
-    trace event and [channel/unknown_target] counter — never a raise. *)
+(** [call_typed t ~caller ~target ~service req] — entry from the outside
+    world ([caller = None], only into network-facing components) or on
+    behalf of a component. Channel checks are identical to
+    {!App.call_typed}; the failure is kept as a routing decision
+    ({!App.call_error}), what supervisors and circuit breakers classify
+    on. An unknown target is a typed error plus a deny-style trace event
+    and [channel/unknown_target] counter — never a raise. *)
 val call_typed :
   t -> caller:string option -> target:string -> service:string -> string ->
   (string, App.call_error) result
+
+(** [call] — {!call_typed} with the failure rendered by
+    {!App.render_call_error}. *)
+val call :
+  t -> caller:string option -> target:string -> service:string -> string ->
+  (string, string) result
 
 (** [violations t] — blocked channels, as in {!App.violations}. *)
 val violations : t -> App.violation list
@@ -113,7 +117,7 @@ exception Call_failed of App.call_error
     full pipeline (and raises {!Call_failed} on a typed failure) when
     tracing is on, the target is compromised or dead, or the route has
     not yet seen a successful slow call (the first call through a route
-    always takes the slow path to capture the target's facilities).
+    always takes the slow path to pick up the target instance's ctx).
     The behaviour's own exceptions ({!Substrate.Service_failure}) pass
     through untranslated on the fast path. *)
 val call_fast : t -> route -> string -> string
@@ -121,7 +125,8 @@ val call_fast : t -> route -> string -> string
 (** {2 Snapshots} *)
 
 (** Captures the control plane: App flags/violations, placements,
-    specs, the facilities cache and routes. *)
+    specs and routes (each route's primed ctx included, so a restored
+    world takes the fast or slow path it took at fork time). *)
 val take_snapshot : t -> unit -> unit
 
 val state_digest : t -> Lt_world.Digest64.t

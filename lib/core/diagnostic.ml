@@ -53,25 +53,7 @@ let to_text t =
     (String.make 52 ' ')
     t.fix_hint
 
-(* minimal JSON string escaping: the repo deliberately has no JSON
-   dependency, and diagnostics only need the string/null/object subset *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Lt_obs.Metrics.json_escape s ^ "\""
 
 let to_json t =
   Printf.sprintf

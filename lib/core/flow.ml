@@ -27,18 +27,6 @@ type result = {
 
 (* --- the flow graph --------------------------------------------------------- *)
 
-(* first manifest wins on duplicate names, matching Lint_rules.make_ctx *)
-let dedupe manifests =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun m ->
-      if Hashtbl.mem seen m.Manifest.name then false
-      else begin
-        Hashtbl.replace seen m.Manifest.name ();
-        true
-      end)
-    manifests
-
 let flow_edges manifests =
   let declared = Hashtbl.create 16 in
   List.iter (fun m -> Hashtbl.replace declared m.Manifest.name ()) manifests;
@@ -140,7 +128,7 @@ let tainted_base m =
   m.Manifest.network_facing || m.Manifest.vulnerable
 
 let analyze ?(config = default_config) manifests =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let nodes = List.map (fun m -> m.Manifest.name) manifests in
   let find n = List.find_opt (fun m -> m.Manifest.name = n) manifests in
   let holds_secret m = List.mem m.Manifest.substrate config.secret_substrates in
@@ -357,7 +345,7 @@ let endpoint_component ep =
   else None
 
 let conformance ?config:_ manifests k =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let find n = List.find_opt (fun m -> m.Manifest.name = n) manifests in
   let pairs = declared_pairs manifests in
   let declared caller target = List.mem (caller, target) pairs in
@@ -528,8 +516,6 @@ let check_deployment ?config manifests =
 
 (* --- reports ----------------------------------------------------------------- *)
 
-let path_str p = String.concat " -> " p
-
 let render_text ~file ?conformance:conf r =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -547,7 +533,7 @@ let render_text ~file ?conformance:conf r =
        (fun h ->
          add "  %s -> %s (%s): %s\n" h.t_source h.t_sink
            (if h.t_direct then "direct" else "transitive")
-           (path_str h.t_path))
+           (Manifest.path_string h.t_path))
        hits);
   (match r.verdict with
    | Secure -> add "verdict: secure (no secret reaches an exposed component)\n"
@@ -556,7 +542,7 @@ let render_text ~file ?conformance:conf r =
      List.iter
        (fun l ->
          add "  secret of %s reaches %s: %s\n" l.l_secret l.l_sink
-           (path_str l.l_path))
+           (Manifest.path_string l.l_path))
        leaks);
   (match conf with
    | None -> ()
@@ -629,7 +615,7 @@ let render_json ~file ?conformance:conf r =
     labels taint leaks conf_json
 
 let to_dot manifests r =
-  let manifests = dedupe manifests in
+  let manifests = Manifest.dedupe manifests in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let label_of n =
@@ -673,20 +659,11 @@ let to_dot manifests r =
    another. The root path [] is disjoint from nothing: shared root
    infrastructure may appear in any tenant's evidence. *)
 
-let trust_paths manifests =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      if not (Hashtbl.mem tbl m.Manifest.name) then
-        Hashtbl.add tbl m.Manifest.name m.Manifest.trust_domain)
-    manifests;
-  fun n -> Option.value ~default:[] (Hashtbl.find_opt tbl n)
-
 let tenants manifests =
   List.filter_map Manifest.tenant_of manifests |> List.sort_uniq String.compare
 
 let tenant_verdicts manifests r =
-  let path = trust_paths manifests in
+  let path = Manifest.trust_paths manifests in
   let tenant n = match path n with [] -> None | t :: _ -> Some t in
   List.map
     (fun t ->
@@ -695,13 +672,13 @@ let tenant_verdicts manifests r =
     (tenants manifests)
 
 let cross_tenant_hits manifests r =
-  let path = trust_paths manifests in
+  let path = Manifest.trust_paths manifests in
   List.filter
     (fun h -> Manifest.trust_domains_disjoint (path h.t_source) (path h.t_sink))
     r.taint_hits
 
 let cross_tenant_leaks manifests r =
-  let path = trust_paths manifests in
+  let path = Manifest.trust_paths manifests in
   List.filter
     (fun l -> Manifest.trust_domains_disjoint (path l.l_secret) (path l.l_sink))
     r.leaks
@@ -726,13 +703,13 @@ let render_domain_verdicts manifests r =
       (fun l ->
         Buffer.add_string buf
           (Printf.sprintf "  CROSS-TENANT leak: %s -> %s via %s\n" l.l_secret
-             l.l_sink (String.concat " -> " l.l_path)))
+             l.l_sink (Manifest.path_string l.l_path)))
       xl;
     List.iter
       (fun h ->
         Buffer.add_string buf
           (Printf.sprintf "  CROSS-TENANT taint: %s -> %s via %s\n" h.t_source
-             h.t_sink (String.concat " -> " h.t_path)))
+             h.t_sink (Manifest.path_string h.t_path)))
       xh;
     if xl = [] && xh = [] then
       Buffer.add_string buf "  cross-tenant witnesses: none\n";

@@ -179,10 +179,6 @@ val has_leaks : result -> bool
     {!analyze} byte-for-byte. Everything here is deterministic: equal
     inputs give structurally equal outputs. *)
 
-(** First manifest wins on duplicate names (same policy as
-    {!Lint_rules.make_ctx}). *)
-val dedupe : Manifest.t list -> Manifest.t list
-
 (** The information-flow edges induced by the declared channels:
     request + reply per unvetted channel, skipping self-connections and
     dangling targets. Sorted and deduplicated. *)
@@ -210,10 +206,6 @@ val declared_pairs : Manifest.t list -> (string * string) list
     (outermost trust-domain element) of the secret holder, a taint hit
     to the tenant of its source. Components in the root domain [[]]
     belong to no tenant and may appear in any tenant's evidence. *)
-
-(** [(component -> trust path)] lookup over the manifests, first
-    manifest wins; unknown names map to the root path. *)
-val trust_paths : Manifest.t list -> string -> string list
 
 (** The sorted tenant names declared by the fleet. *)
 val tenants : Manifest.t list -> string list

@@ -113,7 +113,7 @@ let diag ~rule ~component ?service message fix_hint =
   Diagnostic.v ~rule_id:rule.id ~severity:rule.severity ~component ?service
     ~message ~fix_hint ()
 
-(* first manifest wins on duplicate names, like {!Flow.dedupe} *)
+(* first manifest wins on duplicate names, like {!Manifest.dedupe} *)
 let find ctx name = Hashtbl.find_opt ctx.index name
 
 let declared ctx name = Hashtbl.mem ctx.index name

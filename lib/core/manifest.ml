@@ -53,6 +53,27 @@ let trust_path_string = function
   | [] -> "/"
   | path -> String.concat "/" path
 
+(* first manifest wins on duplicate names, matching Lint_rules.make_ctx *)
+let dedupe manifests =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun m ->
+      if Hashtbl.mem seen m.name then false
+      else begin
+        Hashtbl.replace seen m.name ();
+        true
+      end)
+    manifests
+
+let trust_paths manifests =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun m -> if not (Hashtbl.mem tbl m.name) then Hashtbl.add tbl m.name m.trust_domain)
+    manifests;
+  fun n -> Option.value ~default:[] (Hashtbl.find_opt tbl n)
+
+let path_string p = String.concat " -> " p
+
 let rec is_path_prefix p q =
   match (p, q) with
   | [], _ -> true

@@ -89,6 +89,18 @@ val domain_stanza_grammar : (string * string) list
 (** ["a/b/c"] for [["a";"b";"c"]], ["/"] for the root domain. *)
 val trust_path_string : string list -> string
 
+(** First manifest wins on duplicate names: what {!Flow}, {!Contain}
+    and {!Check} apply before they look at a fleet, and the policy
+    {!Lint_rules.make_ctx}'s index follows. *)
+val dedupe : t list -> t list
+
+(** [(component -> trust path)] lookup over the manifests, first
+    manifest wins; unknown names map to the root path. *)
+val trust_paths : t list -> string -> string list
+
+(** ["a -> b -> c"]: a witness path as every report prints it. *)
+val path_string : string list -> string
+
 (** [is_path_prefix p q] — [p] is a (non-strict) ancestor of [q]. *)
 val is_path_prefix : string list -> string list -> bool
 

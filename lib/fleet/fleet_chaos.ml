@@ -34,12 +34,16 @@ type report = {
   fc_failovers : (string * string) list;
   fc_recovery_ticks : int list;
   fc_unplaced : string list;
-  fc_observed : (string * string) list;
-  fc_radius_escapes : (string * string * string) list;
+  fc_observed : (string * Contain.impact) list;
+  fc_radius_escapes : (string * Contain.impact * Contain.impact option) list;
   fc_unroutable : int;
   fc_counters : (string * int) list;
   fc_span_ticks : int;
 }
+
+let impact = Contain.impact_to_string
+
+let allowance = Option.fold ~none:"untouched" ~some:impact
 
 let contained r =
   r.fc_failed_unexcused = 0 && r.fc_rogue_placements = 0
@@ -71,9 +75,9 @@ let scenario_components () =
       ~provides:[ "log" ] ~restart:(restart_budget 3) ()
   in
   let gate_b ctx ~service:_ req =
-    match ctx.Deploy.call_out ~target:"worker" ~service:"exec" req with
+    match ctx.Deploy.call ~target:"worker" ~service:"exec" req with
     | Ok r -> "gated:" ^ r
-    | Error e -> Substrate.fail ("worker unavailable: " ^ e)
+    | Error e -> Substrate.fail ("worker unavailable: " ^ App.render_call_error e)
   in
   let worker_b _ctx ~service:_ req = "exec(" ^ req ^ ")" in
   let vault_b ctx ~service:_ req =
@@ -371,51 +375,21 @@ let run ?(config = Fleet.default_config) ?(plan = no_chaos) ?(rogue = [])
                          let c = m.Manifest.name in
                          let cluster = Hashtbl.find cluster_of c in
                          if List.mem cluster (Fleet.unplaced fleet) then
-                           Some (c, "failed")
+                           Some (c, Contain.Failed)
                          else if List.mem cluster failed_over then
-                           Some (c, "restarted")
-                         else if Hashtbl.mem degraded c then Some (c, "degraded")
+                           Some (c, Contain.Restarted)
+                         else if Hashtbl.mem degraded c then
+                           Some (c, Contain.Degraded)
                          else None)
                        manifests
                      |> List.sort compare
                    in
-                   let static = Contain.analyze manifests in
-                   let allowed = Hashtbl.create 8 in
-                   List.iter
-                     (fun radius ->
-                       if Hashtbl.mem roots radius.Contain.r_root then
-                         List.iter
-                           (fun (c, imp) ->
-                             let rank = Contain.rank imp in
-                             let prev =
-                               match Hashtbl.find_opt allowed c with
-                               | Some p -> p
-                               | None -> 0
-                             in
-                             if rank > prev then Hashtbl.replace allowed c rank)
-                           radius.Contain.r_hit)
-                     static.Contain.radii;
-                   let rank_name = function
-                     | 0 -> "untouched"
-                     | 1 -> "degraded"
-                     | 2 -> "restarted"
-                     | _ -> "failed"
-                   in
-                   let rank_of = function
-                     | "degraded" -> 1
-                     | "restarted" -> 2
-                     | _ -> 3
-                   in
+                   (* each resident root counts once, however many of
+                      its hosts went down: no repeat-kill license, a
+                      failover must stay inside the radius *)
                    let escapes =
-                     List.filter_map
-                       (fun (c, imp) ->
-                         let a =
-                           match Hashtbl.find_opt allowed c with
-                           | Some r -> r
-                           | None -> 0
-                         in
-                         if rank_of imp > a then Some (c, imp, rank_name a)
-                         else None)
+                     Contain.escapes (Contain.analyze manifests)
+                       ~killed:(Hashtbl.fold (fun c () acc -> (c, 1) :: acc) roots [])
                        observed
                    in
                    let placements =
@@ -510,11 +484,11 @@ let render_report_text r =
     (if r.fc_observed = [] then "-"
      else
        String.concat ", "
-         (List.map (fun (c, im) -> Printf.sprintf "%s %s" c im) r.fc_observed));
+         (List.map (fun (c, im) -> Printf.sprintf "%s %s" c (impact im)) r.fc_observed));
   List.iter
     (fun (c, got, allowed) ->
-      add "  RADIUS ESCAPE: %s observed %s, statically allowed %s\n" c got
-        allowed)
+      add "  RADIUS ESCAPE: %s observed %s, statically allowed %s\n" c (impact got)
+        (allowance allowed))
     r.fc_radius_escapes;
   List.iter
     (fun (i, detail) ->
@@ -573,14 +547,14 @@ let render_report_json r =
        (List.map (fun c -> "\"" ^ esc c ^ "\"") r.fc_unplaced))
     (String.concat ","
        (List.map
-          (fun (c, im) -> Printf.sprintf "\"%s\":\"%s\"" (esc c) (esc im))
+          (fun (c, im) -> Printf.sprintf "\"%s\":\"%s\"" (esc c) (impact im))
           r.fc_observed))
     (String.concat ","
        (List.map
           (fun (c, got, allowed) ->
             Printf.sprintf
               "{\"component\":\"%s\",\"observed\":\"%s\",\"allowed\":\"%s\"}"
-              (esc c) (esc got) (esc allowed))
+              (esc c) (impact got) (allowance allowed))
           r.fc_radius_escapes));
   add ",\"violations\":[%s],\"unroutable\":%d,\"span_ticks\":%d,\"contained\":%b,\"counters\":{"
     (String.concat ","
@@ -663,10 +637,11 @@ let shard_kill_audit ~shards ~kill (r : report) =
           err
             "observed radius escapes the killed shards' domain set {%s}: \
              %s (%s) never lived on a killed host"
-            domain_set c imp)
+            domain_set c (impact imp))
     r.fc_observed;
   List.iter
     (fun (c, imp, allowed) ->
-      err "static radius escape: %s observed %s, allowed %s" c imp allowed)
+      err "static radius escape: %s observed %s, allowed %s" c (impact imp)
+        (allowance allowed))
     r.fc_radius_escapes;
   match List.rev !errs with [] -> Ok () | l -> Error l

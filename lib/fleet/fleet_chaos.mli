@@ -70,11 +70,14 @@ type report = {
   fc_recovery_ticks : int list;
       (** per completed failover — what BENCH_fleet gates its median on *)
   fc_unplaced : string list;
-  fc_observed : (string * string) list;
-      (** dynamic blast radius: worst observed impact per component *)
-  fc_radius_escapes : (string * string * string) list;
-      (** component, observed impact, statically allowed impact — any
-          entry means observed ⊄ predicted *)
+  fc_observed : (string * Contain.impact) list;
+      (** dynamic blast radius: worst observed impact per component;
+          untouched components are absent *)
+  fc_radius_escapes : (string * Contain.impact * Contain.impact option) list;
+      (** {!Lateral.Contain.escapes} of the observed radius against the
+          roots resident on a killed or cut host (each counted once):
+          component, observed impact, statically allowed impact ([None]
+          = untouched) — any entry means observed ⊄ predicted *)
   fc_unroutable : int;  (** packets sent into a void mailbox *)
   fc_counters : (string * int) list;
   fc_span_ticks : int;

@@ -129,22 +129,8 @@ let render_text report =
     (if ok report then "verdict: clean\n" else "verdict: failures found\n");
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json report =
+  let json_escape = Lt_obs.Metrics.json_escape in
   let failure f =
     Printf.sprintf
       "{\"case\":%d,\"what\":\"%s\",\"payload\":\"%s\"}"

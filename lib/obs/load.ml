@@ -85,7 +85,7 @@ type deployed = {
    downstream answer fails this request only — the caller stays healthy
    and the report gets an error line *)
 let call_or_err ctx ~target ~service req =
-  match ctx.Deploy.call_out_typed ~target ~service req with
+  match ctx.Deploy.call ~target ~service req with
   | Ok r -> r
   | Error (App.Crashed { target = origin; reason }) ->
     Substrate.dep_crashed ~origin reason

@@ -83,6 +83,6 @@ val render_text : t -> string
 val render_json : t -> string
 (** one JSON object: [{"counters":{...},"histograms":{...}}] *)
 
-(** [json_escape s] — minimal JSON string escaping, shared by the
-    observability exporters. *)
+(** [json_escape s] — minimal JSON string escaping; the one escaper
+    every JSON report and export in the repository uses. *)
 val json_escape : string -> string

@@ -30,7 +30,7 @@ type report = {
   c_secret_leak : bool;
   c_restarts : (string * int) list;
   c_given_up : string list;
-  c_observed : (string * string) list;
+  c_observed : (string * Contain.impact) list;
   c_router_violations : int;
   c_counters : (string * int) list;
   c_span_ticks : int;
@@ -326,7 +326,7 @@ let run ?session:sess ?(plan = no_chaos)
            List.sort compare
              (List.filter_map
                 (fun c ->
-                  if List.mem c given_up then Some (c, "failed")
+                  if List.mem c given_up then Some (c, Contain.Failed)
                   else if not (Deploy.is_alive d c) then
                     (* dead at end of run: permanently failed only when
                        supervision cannot bring it back — under a live
@@ -334,11 +334,11 @@ let run ?session:sess ?(plan = no_chaos)
                     (match Deploy.manifest d c with
                      | Some m when Contain.crash_impact m = Contain.Restarted
                        ->
-                       Some (c, "restarted")
-                     | _ -> Some (c, "failed"))
+                       Some (c, Contain.Restarted)
+                     | _ -> Some (c, Contain.Failed))
                   else if Supervisor.restarts_of sup c > 0 then
-                    Some (c, "restarted")
-                  else if Hashtbl.mem degraded c then Some (c, "degraded")
+                    Some (c, Contain.Restarted)
+                  else if Hashtbl.mem degraded c then Some (c, Contain.Degraded)
                   else None)
                 comps)
          in
@@ -365,6 +365,19 @@ let run ?session:sess ?(plan = no_chaos)
                c_span_ticks = Trace.now tracer },
              tracer ))
   end
+
+(* every component the run killed, with how often: scheduled, random
+   and flap kills alike; the storage power cut is not a component *)
+let killed plan r =
+  let flapped = if r.c_flap_kills > 0 then Option.to_list plan.flap else [] in
+  let count n =
+    List.length (List.filter (fun (_, k) -> k = n) r.c_kills)
+    + if List.mem n flapped then r.c_flap_kills else 0
+  in
+  List.map snd r.c_kills @ flapped
+  |> List.filter (fun n -> n <> backend_name)
+  |> List.sort_uniq compare
+  |> List.map (fun n -> (n, count n))
 
 (* --- rendering ------------------------------------------------------------ *)
 
@@ -403,7 +416,8 @@ let render_report_text r =
         else
           String.concat ", "
             (List.map
-               (fun (c, im) -> Printf.sprintf "%s %s" c im)
+               (fun (c, im) ->
+                 Printf.sprintf "%s %s" c (Contain.impact_to_string im))
                r.c_observed)));
   Buffer.add_string buf
     (Printf.sprintf "  router violations: %d; ticks: %d\n" r.c_router_violations
@@ -444,7 +458,8 @@ let render_report_json r =
           (List.map (fun c -> "\"" ^ esc c ^ "\"") r.c_given_up))
        (String.concat ","
           (List.map
-             (fun (c, im) -> Printf.sprintf "\"%s\":\"%s\"" (esc c) (esc im))
+             (fun (c, im) ->
+               Printf.sprintf "\"%s\":\"%s\"" (esc c) (Contain.impact_to_string im))
              r.c_observed))
        r.c_router_violations r.c_span_ticks
        (String.concat ","

@@ -60,13 +60,13 @@ type report = {
   c_secret_leak : bool;
   c_restarts : (string * int) list;  (** per component, components with > 0 *)
   c_given_up : string list;
-  c_observed : (string * string) list;
+  c_observed : (string * Lateral.Contain.impact) list;
       (** the dynamic blast radius: worst impact each component was
-          observed to suffer (["degraded"] — its requests failed on a
-          dead or breaker-shed slice, ["restarted"], ["failed"] — dead
-          or given up at end of run), sorted by name. The soundness
-          property holds this inside the {!Lateral.Contain} static
-          prediction for the killed components. *)
+          observed to suffer ([Degraded] — its requests failed on a
+          dead or breaker-shed slice, [Restarted], [Failed] — dead or
+          given up at end of run), sorted by name; untouched components
+          are absent. {!Lateral.Contain.escapes} holds this inside the
+          static prediction for the {!killed} components. *)
   c_router_violations : int;
   c_counters : (string * int) list;
   c_span_ticks : int;
@@ -103,6 +103,12 @@ val run :
   ?plan:plan -> ?supervisor:Supervisor.config -> ?trace_capacity:int ->
   scenario:Lt_load.Load.scenario -> requests:int -> seed:int -> unit ->
   (report * Lt_obs.Trace.t, string) result
+
+(** [killed plan r] — every component the run killed, sorted by name,
+    with its kill count: scheduled, random ([kill_pct]) and [flap] kills
+    alike. The ["legacy_os"] power cut is not a component and never
+    appears. The [killed] argument of {!Lateral.Contain.escapes}. *)
+val killed : plan -> report -> (string * int) list
 
 val render_report_text : report -> string
 

@@ -29,6 +29,10 @@ let mail_components ~vertical =
           Manifest.conn "storage" "load"; Manifest.conn "composer" "compose" ]
       ~domain:(domain "ui") ~size_loc:6000 () ]
 
+(* the string view of a call, as reports and these assertions read it *)
+let call app ~caller ~target ~service req =
+  Result.map_error App.render_call_error (App.call_typed app ~caller ~target ~service req)
+
 let build_app ~vertical =
   let app = App.create () in
   List.iter (App.add_stub app) (mail_components ~vertical);
@@ -49,19 +53,19 @@ let test_validate () =
 let test_communication_control () =
   let app = build_app ~vertical:false in
   (* declared channel passes *)
-  (match App.call app ~caller:(Some "ui") ~target:"renderer" ~service:"render" "msg" with
+  (match call app ~caller:(Some "ui") ~target:"renderer" ~service:"render" "msg" with
    | Ok _ -> ()
    | Error e -> Alcotest.fail e);
   (* undeclared channel blocked, even though both components exist *)
-  (match App.call app ~caller:(Some "renderer") ~target:"tls" ~service:"transmit" "x" with
+  (match call app ~caller:(Some "renderer") ~target:"tls" ~service:"transmit" "x" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "undeclared channel allowed!");
   Alcotest.(check int) "violation recorded" 1 (List.length (App.violations app));
   (* external input reaches only network-facing components *)
-  (match App.call app ~caller:None ~target:"imap" ~service:"fetch" "x" with
+  (match call app ~caller:None ~target:"imap" ~service:"fetch" "x" with
    | Ok _ -> ()
    | Error e -> Alcotest.fail e);
-  (match App.call app ~caller:None ~target:"tls" ~service:"transmit" "x" with
+  (match call app ~caller:None ~target:"tls" ~service:"transmit" "x" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "external input reached an internal component")
 
@@ -69,7 +73,7 @@ let test_compromised_component_contained () =
   let app = build_app ~vertical:false in
   App.compromise app "renderer";
   (* drive the compromised component once *)
-  ignore (App.call app ~caller:(Some "ui") ~target:"renderer" ~service:"render" "evil");
+  ignore (call app ~caller:(Some "ui") ~target:"renderer" ~service:"render" "evil");
   let attempts = App.exfiltration_attempts app "renderer" in
   Alcotest.(check bool) "attacker swept every service" true (List.length attempts > 5);
   let allowed = List.filter (fun (_, _, ok) -> ok) attempts in
@@ -209,11 +213,11 @@ let test_live_behaviour_chain () =
     (fun ctx ~service:_ req ->
       match ctx.App.call ~target:"back" ~service:"query" req with
       | Ok r -> "front(" ^ r ^ ")"
-      | Error e -> "denied:" ^ e);
+      | Error e -> "denied:" ^ App.render_call_error e);
   App.add app
     (Manifest.v ~name:"back" ~provides:[ "query" ] ())
     (fun _ ~service:_ req -> "back:" ^ req);
-  (match App.call app ~caller:None ~target:"front" ~service:"handle" "q" with
+  (match call app ~caller:None ~target:"front" ~service:"handle" "q" with
    | Ok r -> Alcotest.(check string) "chained" "front(back:q)" r
    | Error e -> Alcotest.fail e);
   (* a behaviour attempting an undeclared hop is denied inline *)
@@ -223,7 +227,7 @@ let test_live_behaviour_chain () =
       match ctx.App.call ~target:"back" ~service:"query" "steal" with
       | Ok _ -> "got-through"
       | Error _ -> "blocked");
-  (match App.call app ~caller:None ~target:"rogue" ~service:"go" "" with
+  (match call app ~caller:None ~target:"rogue" ~service:"go" "" with
    | Ok r -> Alcotest.(check string) "undeclared hop blocked" "blocked" r
    | Error e -> Alcotest.fail e)
 
@@ -232,7 +236,7 @@ let test_behaviour_crash_is_error () =
   App.add app
     (Manifest.v ~name:"fragile" ~provides:[ "boom" ] ~network_facing:true ())
     (fun _ ~service:_ _ -> failwith "segfault");
-  match App.call app ~caller:None ~target:"fragile" ~service:"boom" "" with
+  match call app ~caller:None ~target:"fragile" ~service:"boom" "" with
   | Error e ->
     Alcotest.(check bool) "crash surfaced as error" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "crash swallowed"

@@ -355,6 +355,66 @@ let test_dirty_roots_scoped () =
     (List.mem "mid" dirty && List.mem "core" dirty);
   Alcotest.(check bool) "the island is not" false (List.mem "island" dirty)
 
+(* --- observed ⊆ predicted: the audit every chaos harness shares --- *)
+
+let test_escapes_table () =
+  (* a <- b <- c on supervised channels; a and b restart, c and the
+     unconnected z do not. Radii: a = {a restarted, b degraded,
+     c degraded}, b = {b restarted, c degraded}; z sits in no radius
+     but its own. *)
+  let r =
+    Contain.analyze
+      [ m ~name:"a" ~provides:[ "s" ] ~restart:restarting ();
+        m ~name:"b" ~provides:[ "t" ] ~connects_to:[ conn "a" "s" ]
+          ~restart:restarting ();
+        m ~name:"c" ~connects_to:[ conn "b" "t" ] ();
+        m ~name:"z" () ]
+  in
+  Alcotest.check impact "a's radius reaches b" (Some "degraded") (hit r "a" "b");
+  Alcotest.check impact "b restarts itself" (Some "restarted") (hit r "b" "b");
+  let d = Contain.Degraded and rs = Contain.Restarted and f = Contain.Failed in
+  let show (c, im, a) =
+    Printf.sprintf "%s %s (allowed %s)" c (Contain.impact_to_string im)
+      (Option.fold ~none:"untouched" ~some:Contain.impact_to_string a)
+  in
+  List.iter
+    (fun (what, killed, observed, want) ->
+      Alcotest.(check (list string)) what (List.map show want)
+        (List.map show (Contain.escapes r ~killed observed)))
+    [ ( "worst impact over the killed roots bounds",
+        [ ("a", 1); ("b", 1) ],
+        [ ("a", rs); ("b", rs); ("c", d) ],
+        [] );
+      ( "worse than the worst still escapes",
+        [ ("a", 1); ("b", 1) ],
+        [ ("b", f); ("c", rs) ],
+        [ ("b", f, Some rs); ("c", rs, Some d) ] );
+      ( "outside every radius is allowed nothing",
+        [ ("a", 1) ],
+        [ ("b", d); ("z", d) ],
+        [ ("z", d, None) ] );
+      ( "a repeat-killed component may end failed",
+        [ ("a", 2) ],
+        [ ("a", f); ("b", d) ],
+        [] );
+      ( "the repeat-kill license is the killed component's alone",
+        [ ("a", 2) ],
+        [ ("b", f) ],
+        [ ("b", f, Some d) ] );
+      ( "a single kill does not license failed",
+        [ ("a", 1) ],
+        [ ("a", f) ],
+        [ ("a", f, Some rs) ] );
+      ("nothing killed, nothing observed", [], [], []);
+      ( "nothing killed allows nothing",
+        [],
+        [ ("a", d); ("z", f) ],
+        [ ("a", d, None); ("z", f, None) ] );
+      ( "a root without a radius allows nothing",
+        [ ("ghost", 1) ],
+        [ ("a", d) ],
+        [ ("a", d, None) ] ) ]
+
 let suite =
   [ Alcotest.test_case "channel edges bounded under supervision" `Quick
       test_channel_bounded;
@@ -380,5 +440,7 @@ let suite =
     Alcotest.test_case "incremental contain equals batch" `Quick
       test_incremental_contain;
     Alcotest.test_case "dirty roots stay scoped" `Quick test_dirty_roots_scoped;
+    Alcotest.test_case "escapes: observed inside the killed radii" `Quick
+      test_escapes_table;
     QCheck_alcotest.to_alcotest prop_analyze_total;
     QCheck_alcotest.to_alcotest prop_supervision_only_shrinks ]

@@ -24,16 +24,16 @@ let slice () =
         ~connects_to:[ Manifest.conn "tls" "transmit" ]
         ~network_facing:true ~substrate:"microkernel" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"tls" ~service:"transmit" req with
+        match ctx.Deploy.call ~target:"tls" ~service:"transmit" req with
         | Ok r -> "ui:" ^ r
-        | Error e -> "ui-error:" ^ e );
+        | Error e -> "ui-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"tls" ~provides:[ "transmit" ]
         ~connects_to:[ Manifest.conn "keystore" "sign" ]
         ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"keystore" ~service:"sign" req with
+        match ctx.Deploy.call ~target:"keystore" ~service:"sign" req with
         | Ok signature -> Printf.sprintf "sent(%s,sig=%s)" req signature
-        | Error e -> "tls-error:" ^ e );
+        | Error e -> "tls-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"keystore" ~provides:[ "sign" ] ~substrate:"sep" (),
       fun ctx ~service:_ req ->
         (* key lives sealed on the SEP *)
@@ -49,7 +49,7 @@ let slice () =
         ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
         (* the renderer tries to reach the keystore: not in its manifest *)
-        match ctx.Deploy.call_out ~target:"keystore" ~service:"sign" "steal" with
+        match ctx.Deploy.call ~target:"keystore" ~service:"sign" "steal" with
         | Ok _ -> "EXFILTRATED"
         | Error _ -> "render:" ^ req ) ]
 

@@ -44,9 +44,8 @@ let test_chaos_contained () =
     Alcotest.(check int) "no unexcused failures" 0 r.Fleet_chaos.fc_failed_unexcused;
     Alcotest.(check int) "rogue host got zero placements" 0
       r.Fleet_chaos.fc_rogue_placements;
-    Alcotest.(check (list (triple string string string)))
-      "observed radius inside static prediction" []
-      r.Fleet_chaos.fc_radius_escapes;
+    Alcotest.(check int) "observed radius inside static prediction" 0
+      (List.length r.Fleet_chaos.fc_radius_escapes);
     Alcotest.(check bool) "the kill forced failovers" true
       (r.Fleet_chaos.fc_failovers <> []);
     Alcotest.(check bool) "asym partition left instances to fence" true

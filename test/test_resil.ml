@@ -344,10 +344,10 @@ let print_chaos_case (scenario, (seed, requests), kills, flap, kill_pct) =
     kill_pct
 
 (* the soundness gate: no impact the harness observes may exceed what
-   the static analysis predicts for the components actually killed.
-   Mid-IPC faults stay off (they damage requests, not components), and
-   a component killed more than once may legitimately exhaust its
-   restart budget, so repeats license Failed. *)
+   the static analysis predicts for the components actually killed
+   ([Contain.escapes], which licenses Failed on a component killed more
+   than once). Mid-IPC faults stay off (they damage requests, not
+   components). *)
 let prop_observed_inside_static =
   QCheck.Test.make ~count:51 ~name:"chaos observed radius inside static radius"
     (QCheck.make ~print:print_chaos_case chaos_case_gen)
@@ -356,49 +356,14 @@ let prop_observed_inside_static =
       match Chaos.run ~plan ~scenario ~requests ~seed () with
       | Error e -> QCheck.Test.fail_reportf "plan rejected: %s" e
       | Ok (r, _) ->
-        let static = static_radii scenario in
-        let kill_count y =
-          List.length (List.filter (fun (_, n) -> n = y) r.Chaos.c_kills)
-          + (if r.Chaos.c_flap_kills > 0 && flap = Some y then
-               r.Chaos.c_flap_kills
-             else 0)
-        in
-        let killed =
-          List.sort_uniq compare
-            (List.filter
-               (fun n -> n <> "legacy_os")
-               (List.map snd r.Chaos.c_kills
-               @ (if r.Chaos.c_flap_kills > 0 then Option.to_list flap else [])))
-        in
-        let allowed y =
-          if kill_count y > 1 then 3
-          else
-            List.fold_left
-              (fun acc root ->
-                match
-                  List.find_opt
-                    (fun x -> x.Contain.r_root = root)
-                    static.Contain.radii
-                with
-                | None -> acc
-                | Some x ->
-                  (match List.assoc_opt y x.Contain.r_hit with
-                   | None -> acc
-                   | Some im -> max acc (Contain.rank im)))
-              0 killed
-        in
-        List.for_all
-          (fun (y, obs) ->
-            let rank =
-              match Contain.impact_of_string obs with
-              | Some i -> Contain.rank i
-              | None -> 99
-            in
-            rank <= allowed y
-            || QCheck.Test.fail_reportf
-                 "observed %s on %s, static allows rank %d (kills [%s])" obs y
-                 (allowed y) (String.concat ", " killed))
-          r.Chaos.c_observed)
+        let killed = Chaos.killed plan r in
+        (match Contain.escapes (static_radii scenario) ~killed r.Chaos.c_observed with
+         | [] -> true
+         | (y, obs, allowed) :: _ ->
+           QCheck.Test.fail_reportf "observed %s on %s, static allows %s (kills [%s])"
+             (Contain.impact_to_string obs) y
+             (Option.fold ~none:"untouched" ~some:Contain.impact_to_string allowed)
+             (String.concat ", " (List.map fst killed))))
 
 (* the static prediction reasons over manifest channels; the harness
    accounts blast per route. The inclusion above is only meaningful if

@@ -76,9 +76,9 @@ let slice () =
         ~connects_to:[ Manifest.conn "tls" "transmit" ]
         ~network_facing:true ~substrate:"microkernel" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"tls" ~service:"transmit" req with
+        match ctx.Deploy.call ~target:"tls" ~service:"transmit" req with
         | Ok r -> "ui:" ^ r
-        | Error e -> "ui-error:" ^ e );
+        | Error e -> "ui-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"tls" ~provides:[ "transmit" ] ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
         (* persistent per-launch state, so restore has something to undo *)
