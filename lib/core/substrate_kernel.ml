@@ -90,7 +90,7 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
       incr invoke_counter;
       let client_task =
         Kernel.create_task k
-          ~name:(Printf.sprintf "client%d" !invoke_counter)
+          ~name:("client" ^ string_of_int !invoke_counter)
           ~partition:(Kernel.task_partition task)
       in
       let send_cap =

@@ -111,8 +111,7 @@ module Aead = struct
 
   (* length-prefix the associated data so (ad, ct) splits are unambiguous *)
   let tag_of ctx ~nonce ~ad ciphertext =
-    Hmac.mac_with ctx.mac
-      [ Printf.sprintf "%08d" (String.length ad); ad; nonce; ciphertext ]
+    Hmac.mac_with ctx.mac [ Wire.length_prefix (String.length ad); ad; nonce; ciphertext ]
 
   (* Precondition, not adversary input: every holder makes its nonce
      [nonce_size] bytes long (a digest prefix or [Drbg.bytes]). A nonce
@@ -134,12 +133,12 @@ module Aead = struct
 
   let to_wire { nonce; ciphertext; tag } =
     String.concat ""
-      [ Printf.sprintf "%08d" (String.length ciphertext); nonce; tag; ciphertext ]
+      [ Wire.length_prefix (String.length ciphertext); nonce; tag; ciphertext ]
 
   let of_wire s =
     if String.length s < 8 + nonce_size + Hmac.tag_size then None
     else
-      match int_of_string_opt (String.sub s 0 8) with
+      match Wire.length_at s 0 with
       | None -> None
       | Some ct_len ->
         let need = 8 + nonce_size + Hmac.tag_size + ct_len in

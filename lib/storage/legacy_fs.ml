@@ -11,12 +11,20 @@ type evil_mode = Honest | Corrupt_reads of Drbg.t | Serve_stale
 
 exception Crashed
 
-type file = { mutable size : int; mutable fblocks : int list }
+(* [entry] caches the file's encoded directory entry; every change to
+   [size] or [fblocks] drops it. Like [free_count] it is a function of
+   the other fields, so no snapshot or digest reads it. *)
+type file = {
+  mutable size : int;
+  mutable fblocks : int list;
+  mutable entry : string option;
+}
 
 type t = {
   dev : Block.t;
   files : (string, file) Hashtbl.t;
   mutable free : int list;
+  mutable free_count : int; (* List.length free *)
   mutable evil : evil_mode;
   mutable seen : string list;
   stale : (string, string) Hashtbl.t; (* previous contents per path *)
@@ -34,18 +42,23 @@ let all_data_blocks dev =
 
 (* --- metadata (de)serialization ------------------------------------------ *)
 
+let new_file size fblocks = { size; fblocks; entry = None }
+
+let entry_of path f =
+  match f.entry with
+  | Some e -> e
+  | None ->
+    let e =
+      Wire.encode
+        [ path;
+          string_of_int f.size;
+          String.concat "," (List.map string_of_int f.fblocks) ]
+    in
+    f.entry <- Some e;
+    e
+
 let serialize t =
-  let entries =
-    Hashtbl.fold
-      (fun path f acc ->
-        Wire.encode
-          [ path;
-            string_of_int f.size;
-            String.concat "," (List.map string_of_int f.fblocks) ]
-        :: acc)
-      t.files []
-  in
-  Wire.encode entries
+  Wire.encode (Hashtbl.fold (fun path f acc -> entry_of path f :: acc) t.files [])
 
 (* Decoding is total: a flipped bit anywhere in the metadata region must
    come back as [Error (Corrupt _)], never as an exception — and every
@@ -86,7 +99,7 @@ let deserialize t data =
                      (Printf.sprintf "file %S size %d exceeds its %d block(s)" path
                         size (List.length fblocks)))
               else begin
-                Hashtbl.replace t.files path { size; fblocks };
+                Hashtbl.replace t.files path (new_file size fblocks);
                 go rest
               end)
          | _ -> Error (Corrupt "bad directory entry"))
@@ -113,6 +126,7 @@ let format dev =
     { dev;
       files = Hashtbl.create 16;
       free = all_data_blocks dev;
+      free_count = Block.blocks dev - data_start;
       evil = Honest;
       seen = [];
       stale = Hashtbl.create 16;
@@ -128,12 +142,10 @@ let mount dev =
   (* the superblock block is zero-padded, so parse its two fields
      (magic, metadata length) manually instead of Wire.decode *)
     let field off =
-      if off < 0 || off + 8 > String.length sb then None
-      else
-        match int_of_string_opt (String.sub sb off 8) with
-        | Some n when n >= 0 && off + 8 + n <= String.length sb ->
-          Some (String.sub sb (off + 8) n, off + 8 + n)
-        | _ -> None
+      match Wire.length_at sb off with
+      | Some n when n >= 0 && off + 8 + n <= String.length sb ->
+        Some (String.sub sb (off + 8) n, off + 8 + n)
+      | _ -> None
     in
     (match field 0 with
      | Some (m, o1) when m = magic ->
@@ -156,6 +168,7 @@ let mount dev =
                { dev;
                  files = Hashtbl.create 16;
                  free = [];
+                 free_count = 0;
                  evil = Honest;
                  seen = [];
                  stale = Hashtbl.create 16;
@@ -170,6 +183,7 @@ let mount dev =
                   t.files;
                 t.free <-
                   List.filter (fun b -> not (Hashtbl.mem used b)) (all_data_blocks dev);
+                t.free_count <- List.length t.free;
                 Ok t)
            | _ -> Error (Corrupt "bad superblock length"))
         | None -> Error (Corrupt "bad superblock"))
@@ -190,7 +204,7 @@ let create t path =
   check_alive t;
   if Hashtbl.mem t.files path then Error (Already_exists path)
   else begin
-    Hashtbl.replace t.files path { size = 0; fblocks = [] };
+    Hashtbl.replace t.files path (new_file 0 []);
     sync t;
     Ok ()
   end
@@ -209,7 +223,7 @@ let write t path data =
     match Hashtbl.find_opt t.files path with
     | Some f -> f
     | None ->
-      let f = { size = 0; fblocks = [] } in
+      let f = new_file 0 [] in
       Hashtbl.replace t.files path f;
       f
   in
@@ -219,7 +233,7 @@ let write t path data =
    | _ -> ());
   t.seen <- data :: t.seen;
   let needed = (String.length data + Block.block_size - 1) / Block.block_size in
-  let total_available = List.length t.free + List.length f.fblocks in
+  let total_available = t.free_count + List.length f.fblocks in
   if needed > total_available then Error No_space
   else begin
     t.free <- f.fblocks @ t.free;
@@ -232,6 +246,7 @@ let write t path data =
     in
     let blocks, free = take needed [] t.free in
     t.free <- free;
+    t.free_count <- total_available - needed;
     List.iteri
       (fun i b ->
         let off = i * Block.block_size in
@@ -240,6 +255,7 @@ let write t path data =
       blocks;
     f.size <- String.length data;
     f.fblocks <- blocks;
+    f.entry <- None;
     sync t;
     Ok ()
   end
@@ -273,6 +289,7 @@ let delete t path =
   | None -> Error (Not_found path)
   | Some f ->
     t.free <- f.fblocks @ t.free;
+    t.free_count <- t.free_count + List.length f.fblocks;
     Hashtbl.remove t.files path;
     Hashtbl.remove t.stale path;
     sync t;
@@ -314,8 +331,8 @@ let pp_error fmt = function
 (* --- Snapshottable ---------------------------------------------------- *)
 
 (* [file] records are mutable and private to this module: capture their
-   field values and rebuild fresh records on restore.  The block device
-   underneath has its own capture. *)
+   field values and rebuild fresh records on restore, entry caches empty.
+   The block device underneath has its own capture. *)
 let take_snapshot t =
   let files =
     Hashtbl.fold (fun p f acc -> (p, f.size, f.fblocks) :: acc) t.files []
@@ -335,9 +352,10 @@ let take_snapshot t =
   fun () ->
     Hashtbl.reset t.files;
     List.iter
-      (fun (p, size, fblocks) -> Hashtbl.replace t.files p { size; fblocks })
+      (fun (p, size, fblocks) -> Hashtbl.replace t.files p (new_file size fblocks))
       files;
     t.free <- free;
+    t.free_count <- List.length free;
     (match evil with
      | `Honest -> t.evil <- Honest
      | `Serve_stale -> t.evil <- Serve_stale

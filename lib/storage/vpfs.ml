@@ -8,9 +8,6 @@ let journal_path = ".vpfs-journal"
 
 type entry = {
   file_key : string;
-  file_aead : Speck.Aead.ctx Lazy.t;
-      (* derived from [file_key] on first use: a cache that no snapshot
-         or digest reads *)
   version : int;
   plain_size : int;
   chunks : int;
@@ -25,6 +22,10 @@ type t = {
   master_key : string;
   meta_aead : Speck.Aead.ctx;     (* caches of keys derived from [master_key] *)
   journal_aead : Speck.Aead.ctx;
+  file_keys : (string, string * Speck.Aead.ctx) Hashtbl.t;
+      (* path -> its derived file key and that key's context, filled on
+         first use and dropped on delete: a function of [master_key], so
+         no snapshot or digest reads it *)
   fs : Legacy_fs.t;
   table : (string, entry) Hashtbl.t;
   rng : Drbg.t;
@@ -146,13 +147,7 @@ let load_meta meta_aead ~expected_root fs =
                     with
                     | Some version, Some plain_size, Some chunks
                       when version >= 0 && plain_size >= 0 && chunks >= 0 ->
-                      Ok
-                        ( path,
-                          { file_key;
-                            file_aead = lazy (Speck.Aead.of_key file_key);
-                            version;
-                            plain_size;
-                            chunks } )
+                      Ok (path, { file_key; version; plain_size; chunks })
                     | _ -> Error (Integrity "metadata entry has unreadable fields"))
                  | _ -> Error (Integrity "metadata entry decode failed")
                in
@@ -172,6 +167,7 @@ let create ~master_key fs =
     { master_key;
       meta_aead = meta_aead master_key;
       journal_aead = journal_aead master_key;
+      file_keys = Hashtbl.create 16;
       fs;
       table = Hashtbl.create 16;
       rng = Drbg.create (Int64.of_int (Hashtbl.hash master_key));
@@ -189,6 +185,7 @@ let open_ ~master_key ~expected_root fs =
       { master_key;
         meta_aead;
         journal_aead = journal_aead master_key;
+        file_keys = Hashtbl.create 16;
         fs;
         table;
         rng = Drbg.create (Int64.of_int (Hashtbl.hash (master_key ^ "reopen")));
@@ -244,7 +241,16 @@ let root t = t.root_digest
 (* --- chunk crypto ---------------------------------------------------------- *)
 
 let chunk_ad ~path ~index ~version =
-  Printf.sprintf "vpfs|%s|%d|%d" path index version
+  String.concat "|" [ "vpfs"; path; string_of_int index; string_of_int version ]
+
+let file_key t path =
+  match Hashtbl.find_opt t.file_keys path with
+  | Some cached -> cached
+  | None ->
+    let key = Hkdf.derive ~secret:t.master_key ~salt:"vpfs-file" ~info:path 16 in
+    let cached = (key, Speck.Aead.of_key key) in
+    Hashtbl.replace t.file_keys path cached;
+    cached
 
 let split_chunks data =
   let n = String.length data in
@@ -266,12 +272,7 @@ let write t path data =
     | Some e -> e.version + 1
     | None -> 1
   in
-  let file_key = Hkdf.derive ~secret:t.master_key ~salt:"vpfs-file" ~info:path 16 in
-  let file_aead =
-    match Hashtbl.find_opt t.table path with
-    | Some e when String.equal e.file_key file_key -> Lazy.force e.file_aead
-    | Some _ | None -> Speck.Aead.of_key file_key
-  in
+  let file_key, file_aead = file_key t path in
   let chunks = split_chunks data in
   let sealed =
     List.mapi
@@ -283,7 +284,6 @@ let write t path data =
   let pre_root = t.root_digest in
   Hashtbl.replace t.table path
     { file_key;
-      file_aead = Lazy.from_val file_aead;
       version;
       plain_size = String.length data;
       chunks = List.length chunks };
@@ -305,6 +305,11 @@ let read t path =
   match Hashtbl.find_opt t.table path with
   | None -> Error (Not_found path)
   | Some e ->
+    let file_aead =
+      match file_key t path with
+      | key, ctx when String.equal key e.file_key -> ctx
+      | _ -> Speck.Aead.of_key e.file_key
+    in
     (match Legacy_fs.read t.fs path with
      | Error err -> Error (Backend err)
      | Ok wire ->
@@ -326,7 +331,7 @@ let read t path =
                  | None -> Error (Integrity "chunk framing corrupt")
                  | Some box ->
                    (match
-                      Speck.Aead.open_ (Lazy.force e.file_aead)
+                      Speck.Aead.open_ file_aead
                         ~ad:(chunk_ad ~path ~index ~version:e.version) box
                     with
                     | None ->
@@ -348,6 +353,7 @@ let delete t path =
   | Some _ ->
     let pre_root = t.root_digest in
     Hashtbl.remove t.table path;
+    Hashtbl.remove t.file_keys path;
     let meta_wire = encrypt_meta t in
     let record =
       { j_op = "delete";

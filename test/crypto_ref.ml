@@ -1,9 +1,12 @@
 (* Reference oracle for the optimised crypto in lib/crypto: the straight
    Int32 SHA-256, the concatenating HMAC, HKDF and the per-record-derived
    SPECK AEAD exactly as they were before keyed contexts and the
-   native-int compression landed. The properties in test_crypto_ref.ml
-   check that the library still agrees with it byte for byte. Do not
-   optimise this file: its value is that it is obviously the old code. *)
+   native-int compression landed, and the Printf-framed Wire codec and
+   AEAD record header (whose lengths [int_of_string_opt] parses, with
+   every spelling it accepts) from before the length header was written
+   and read digit by digit. The properties in test_crypto_ref.ml check
+   that the library still agrees with it byte for byte. Do not optimise
+   this file: its value is that it is obviously the old code. *)
 
 module Ct = Lt_crypto.Ct
 
@@ -193,6 +196,29 @@ module Hkdf = struct
     String.sub (Buffer.contents out) 0 len
 
   let derive ~secret ~salt ~info len = expand ~prk:(extract ~salt secret) ~info len
+end
+
+module Wire = struct
+  let encode fields =
+    let buf = Buffer.create 64 in
+    List.iter
+      (fun f ->
+        Buffer.add_string buf (Printf.sprintf "%08d" (String.length f));
+        Buffer.add_string buf f)
+      fields;
+    Buffer.contents buf
+
+  let decode s =
+    let rec go off acc =
+      if off = String.length s then Some (List.rev acc)
+      else if off + 8 > String.length s then None
+      else
+        match int_of_string_opt (String.sub s off 8) with
+        | Some n when n >= 0 && off + 8 + n <= String.length s ->
+          go (off + 8 + n) (String.sub s (off + 8) n :: acc)
+        | _ -> None
+    in
+    go 0 []
 end
 
 module Speck = struct

@@ -145,8 +145,109 @@ let test_open_total () =
   Alcotest.(check (option string)) "the intact record opens" (Some "some record payload")
     (Speck.Aead.open_wire ctx ~ad:"ad" wire)
 
+(* --- the length header ------------------------------------------------------ *)
+
+(* lengths either side of a new decimal digit and of a 4 KiB page *)
+let wire_edges = [ 0; 9; 10; 99; 100; 4095; 4096 ]
+
+let gen_field =
+  QCheck.Gen.(
+    oneof [ oneofl wire_edges; int_range 0 300 ] >>= fun n ->
+    string_size ~gen:char (return n))
+
+let print_fields fields =
+  String.concat "," (List.map (fun f -> string_of_int (String.length f)) fields)
+
+let prop_wire_encode =
+  QCheck.Test.make ~name:"wire encode = oracle" ~count:300
+    (QCheck.make ~print:print_fields QCheck.Gen.(list_size (int_range 0 6) gen_field))
+    (fun fields ->
+      let wire = Wire.encode fields in
+      wire = Ref.Wire.encode fields && Wire.decode wire = Some fields)
+
+let prop_length_prefix =
+  QCheck.Test.make ~name:"length prefix = sprintf" ~count:300
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [ int_range 0 10_000; int_range 99_999_990 100_000_010;
+              int_range 0 (1 lsl 40) ]))
+    (fun n -> Wire.length_prefix n = Printf.sprintf "%08d" n)
+
+let binary n = String.init 6 (fun i -> if (n lsr (5 - i)) land 1 = 1 then '1' else '0')
+
+(* 8-byte headers that [int_of_string_opt] may read as [n]: the canonical
+   digits, a sign, a base or unsigned prefix, underscores, and a few it
+   refuses; spellings that do not fit in 8 bytes are dropped *)
+let spellings n =
+  List.filter
+    (fun s -> String.length s = 8)
+    [ Printf.sprintf "%08d" n; Printf.sprintf "+%07d" n; Printf.sprintf "-%07d" n;
+      Printf.sprintf "0x%06x" n; Printf.sprintf "0X%06X" n; Printf.sprintf "0o%06o" n;
+      "0b" ^ binary n; Printf.sprintf "0u%06d" n; Printf.sprintf "0_%06d" n;
+      Printf.sprintf "%04d_%03d" (n / 1000) (n mod 1000); Printf.sprintf "%07d_" n;
+      Printf.sprintf "_%07d" n; Printf.sprintf " %07d" n; Printf.sprintf "%07d " n ]
+
+let header_chars = List.of_seq (String.to_seq "0123456789+-_xXobu ")
+
+let gen_header n =
+  QCheck.Gen.(
+    frequency
+      [ (6, oneofl (spellings n));
+        (1, oneofl (spellings (n + 1)));
+        (1, string_size ~gen:(oneofl header_chars) (return 8));
+        (1, string_size ~gen:char (return 8)) ])
+
+(* a frame whose headers are mostly spellings of the right length, with
+   now and then a truncated tail or trailing garbage *)
+let gen_frame =
+  QCheck.Gen.(
+    list_size (int_range 0 4) (int_range 0 70 >>= fun n ->
+      pair (gen_header n) (string_size ~gen:char (return n)))
+    >>= fun parts ->
+    let s = String.concat "" (List.map (fun (h, f) -> h ^ f) parts) in
+    frequency
+      [ (6, return s);
+        (1, int_range 0 (String.length s) >|= fun k -> String.sub s 0 k);
+        (1, string_size ~gen:char (int_range 1 10) >|= fun tail -> s ^ tail);
+        (1, string_size ~gen:char (int_range 0 40)) ])
+
+let prop_wire_decode =
+  QCheck.Test.make ~name:"wire decode = oracle on every header spelling" ~count:1000
+    (QCheck.make ~print:String.escaped gen_frame) (fun s ->
+      Wire.decode s = Ref.Wire.decode s
+      && Wire.untag s = Option.bind (Ref.Wire.decode s) (function
+           | tag :: fields -> Some (tag, fields)
+           | [] -> None))
+
+let gen_record =
+  QCheck.Gen.(
+    int_range 0 70 >>= fun n ->
+    map3
+      (fun header body tail -> header ^ body ^ tail)
+      (gen_header n)
+      (string_size ~gen:char (return (Speck.nonce_size + Hmac.tag_size + n)))
+      (frequency [ (6, return ""); (1, string_size ~gen:char (int_range 1 4)) ])
+    >>= fun s ->
+    frequency [ (6, return s); (1, int_range 0 (String.length s) >|= String.sub s 0) ])
+
+let prop_of_wire =
+  QCheck.Test.make ~name:"aead of_wire = oracle on every header spelling" ~count:1000
+    (QCheck.make ~print:String.escaped gen_record) (fun s ->
+      let ours =
+        Option.map
+          (fun { Speck.Aead.nonce; ciphertext; tag } -> (nonce, ciphertext, tag))
+          (Speck.Aead.of_wire s)
+      and theirs =
+        Option.map
+          (fun { Ref.Speck.Aead.nonce; ciphertext; tag } -> (nonce, ciphertext, tag))
+          (Ref.Speck.Aead.of_wire s)
+      in
+      ours = theirs)
+
 let suite =
   Alcotest.test_case "context open is total on malformed records" `Quick test_open_total
   :: List.map QCheck_alcotest.to_alcotest
        [ prop_digest; prop_feed_splits; prop_copy; prop_hmac; prop_hkdf; prop_ctr;
-         prop_aead ]
+         prop_aead; prop_wire_encode; prop_length_prefix; prop_wire_decode; prop_of_wire ]
