@@ -38,11 +38,23 @@ val region_of : t -> int -> region option
 
 (** [install_mee t ~base ~size ~key] covers [base, base+size) with an
     encryption engine keyed by [key]. The range must be block-aligned
-    (64-byte blocks) and lie in a single off-chip region. *)
+    (64-byte blocks) and lie in a single off-chip region.
+
+    The engine is lazy, and no observer can tell. Install does no
+    per-block crypto: each 64-byte block stays {e pending}, its
+    plaintext still raw and no MAC yet. A block gets its ciphertext and
+    MAC the first time anything reads or writes its raw bytes: a CPU
+    access to it, a {!phys_read}, {!phys_write} or {!manufacture_write}
+    whose range overlaps it, or any {!take_snapshot} or {!state_digest},
+    which materialise every pending block. Every result, exception and
+    digest is the one an engine that encrypted the whole range at
+    install would give. *)
 val install_mee : t -> base:int -> size:int -> key:string -> unit
 
-(** [remove_mee t ~base] tears the engine down, leaving ciphertext. *)
-val remove_mee : t -> base:int -> unit
+(** [retire_mee t ~base] drops the engine installed at [base] and
+    zero-fills its raw range, without materialising anything (a no-op if
+    no engine starts at [base]). *)
+val retire_mee : t -> base:int -> unit
 
 (** CPU-path access: applies MEE transparently; enforces ROM immutability. *)
 val cpu_read : t -> addr:int -> len:int -> string
@@ -56,16 +68,16 @@ val phys_read : t -> addr:int -> len:int -> string
 
 val phys_write : t -> addr:int -> string -> unit
 
-(** [zero t ~addr ~len] clears memory via the CPU path. *)
-val zero : t -> addr:int -> len:int -> unit
-
 (** [manufacture_write t ~addr s] writes ignoring all protections —
     the factory burning ROM contents before the device ships. Not to be
     used after boot; runtime code goes through {!cpu_write}. *)
 val manufacture_write : t -> addr:int -> string -> unit
 
 (** Capture the byte store (copy-on-write: O(chunks)) and MEE state;
-    the returned thunk restores both (re-runnable). *)
+    the returned thunk restores both (re-runnable). Materialises every
+    pending block first, so a snapshot never holds one. *)
 val take_snapshot : t -> unit -> unit
 
+(** Materialises every pending block, then digests the byte store and
+    the MAC tables. *)
 val state_digest : t -> Lt_world.Digest64.t

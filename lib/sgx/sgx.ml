@@ -71,7 +71,12 @@ let create_enclave cpu ~name ~code ~epc_pages ~ecalls =
       List.for_all2 (fun p i -> p = List.hd sorted + i) sorted
         (List.init epc_pages (fun i -> i))
     in
-    if not contiguous then invalid_arg "Sgx.create_enclave: EPC fragmentation";
+    if not contiguous then begin
+      (* give the frames back in reverse, so the free list is exactly
+         what it was before [alloc_n] *)
+      List.iter (Frame_alloc.free cpu.machine.Machine.dram_frames) (List.rev frames);
+      invalid_arg "Sgx.create_enclave: EPC fragmentation"
+    end;
     let base = List.hd sorted * page in
     let size = epc_pages * page in
     let measurement = measure_code code in
@@ -106,10 +111,9 @@ let measurement e = e.e_measurement
 let destroy cpu e =
   if e.e_alive then begin
     e.e_alive <- false;
-    (* retire the MEE first, then scrub the raw frames: real zeros land
-       in DRAM without paying a decrypt+re-encrypt per block *)
-    Phys_mem.remove_mee cpu.machine.Machine.mem ~base:e.e_base;
-    Phys_mem.zero cpu.machine.Machine.mem ~addr:e.e_base ~len:e.e_size;
+    (* drop the MEE and scrub its raw frames: real zeros land in DRAM
+       without encrypting the blocks the enclave never touched *)
+    Phys_mem.retire_mee cpu.machine.Machine.mem ~base:e.e_base;
     List.iter (Frame_alloc.free cpu.machine.Machine.dram_frames) e.e_pages;
     Hashtbl.remove (Lazy.force cpu.live) e.e_id
   end

@@ -219,23 +219,27 @@ let read_raw t path =
 
 let write t path data =
   consume_write_budget t;
-  let f =
-    match Hashtbl.find_opt t.files path with
-    | Some f -> f
-    | None ->
-      let f = new_file 0 [] in
-      Hashtbl.replace t.files path f;
-      f
-  in
+  let existing = Hashtbl.find_opt t.files path in
   (* remember the old version for the stale-serving attack *)
-  (match read_raw t path with
-   | Ok old when f.fblocks <> [] -> Hashtbl.replace t.stale path old
+  (match existing with
+   | Some f when f.fblocks <> [] -> Result.iter (Hashtbl.replace t.stale path) (read_raw t path)
    | _ -> ());
   t.seen <- data :: t.seen;
   let needed = (String.length data + Block.block_size - 1) / Block.block_size in
-  let total_available = t.free_count + List.length f.fblocks in
+  let held = match existing with Some f -> List.length f.fblocks | None -> 0 in
+  let total_available = t.free_count + held in
+  (* the space check comes before a fresh record goes in, so a refused
+     write leaves no file behind *)
   if needed > total_available then Error No_space
   else begin
+    let f =
+      match existing with
+      | Some f -> f
+      | None ->
+        let f = new_file 0 [] in
+        Hashtbl.replace t.files path f;
+        f
+    in
     t.free <- f.fblocks @ t.free;
     let rec take n acc free =
       if n = 0 then (List.rev acc, free)

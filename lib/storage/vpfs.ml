@@ -267,8 +267,9 @@ let split_chunks data =
   end
 
 let write t path data =
+  let old_entry = Hashtbl.find_opt t.table path in
   let version =
-    match Hashtbl.find_opt t.table path with
+    match old_entry with
     | Some e -> e.version + 1
     | None -> 1
   in
@@ -299,7 +300,13 @@ let write t path data =
   (try
      commit t record;
      Ok ()
-   with Invalid_argument m -> Error (Backend (Legacy_fs.Io_error m)))
+   with Invalid_argument m ->
+     (* a refused write changes nothing: the table goes back to the
+        entry the trusted root still describes *)
+     (match old_entry with
+      | Some e -> Hashtbl.replace t.table path e
+      | None -> Hashtbl.remove t.table path);
+     Error (Backend (Legacy_fs.Io_error m)))
 
 let read t path =
   match Hashtbl.find_opt t.table path with

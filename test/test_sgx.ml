@@ -159,6 +159,28 @@ let test_destroy_frees_and_blocks () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "destroyed enclave must not run")
 
+(* a create refused for EPC fragmentation returns every frame it took:
+   the free list is exactly what it was *)
+let test_fragmented_create_frees_frames () =
+  let machine, _, cpu = setup () in
+  let frames = machine.Lt_hw.Machine.dram_frames in
+  let all =
+    match Lt_hw.Frame_alloc.alloc_n frames (Lt_hw.Frame_alloc.free_count frames) with
+    | Some all -> all
+    | None -> Alcotest.fail "cannot take every frame"
+  in
+  (* free two frames with a gap between them *)
+  Lt_hw.Frame_alloc.free frames (List.nth all 0);
+  Lt_hw.Frame_alloc.free frames (List.nth all 2);
+  let free0 = Lt_hw.Frame_alloc.free_count frames in
+  let digest0 = Lt_hw.Frame_alloc.state_digest frames in
+  Alcotest.(check bool) "fragmented create refused" true
+    (try ignore (echo_enclave cpu); false with Invalid_argument _ -> true);
+  Alcotest.(check int) "frames returned" free0 (Lt_hw.Frame_alloc.free_count frames);
+  Alcotest.(check string) "free list unchanged"
+    (Lt_world.Digest64.to_hex digest0)
+    (Lt_world.Digest64.to_hex (Lt_hw.Frame_alloc.state_digest frames))
+
 let test_cache_footprint_tagged () =
   let machine, _, cpu = setup () in
   let e =
@@ -183,5 +205,7 @@ let suite =
     Alcotest.test_case "untrusted OS can starve an enclave" `Quick test_os_starves_enclave;
     Alcotest.test_case "destroy frees EPC and blocks entry" `Quick
       test_destroy_frees_and_blocks;
+    Alcotest.test_case "fragmented create frees its frames" `Quick
+      test_fragmented_create_frees_frames;
     Alcotest.test_case "cache footprint visible (side channel surface)" `Quick
       test_cache_footprint_tagged ]

@@ -72,6 +72,19 @@ let test_fs_no_space () =
    | _ -> Alcotest.fail "expected no-space");
   Alcotest.(check bool) "small still fits" true (Fs.write fs "/ok" "fits" = Ok ())
 
+(* a refused write to an unknown path leaves no record behind: [exists]
+   agrees with what [mount] reads back from the device *)
+let test_fs_refused_write_leaves_no_file () =
+  let dev, fs = make_fs ~blocks:160 () in
+  (match Fs.write fs "/new" (String.make 60_000 'x') with
+   | Error Fs.No_space -> ()
+   | _ -> Alcotest.fail "expected no-space");
+  Alcotest.(check bool) "no file after refusal" false (Fs.exists fs "/new");
+  Alcotest.(check (list string)) "list empty" [] (Fs.list fs);
+  match Fs.mount dev with
+  | Ok fs2 -> Alcotest.(check bool) "mount agrees" false (Fs.exists fs2 "/new")
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Fs.pp_error e)
+
 let test_fs_persistence () =
   let dev, fs = make_fs () in
   ignore (Fs.write fs "/persist" "survives remount");
@@ -138,6 +151,8 @@ let suite =
     Alcotest.test_case "fs multi-block files" `Quick test_fs_multiblock_files;
     Alcotest.test_case "fs delete & list" `Quick test_fs_delete_and_list;
     Alcotest.test_case "fs out of space" `Quick test_fs_no_space;
+    Alcotest.test_case "fs refused write leaves no file" `Quick
+      test_fs_refused_write_leaves_no_file;
     Alcotest.test_case "fs persistence across mount" `Quick test_fs_persistence;
     Alcotest.test_case "fs rejects unformatted device" `Quick test_fs_mount_bad_device;
     Alcotest.test_case "evil fs corrupts reads" `Quick test_fs_evil_corrupt;

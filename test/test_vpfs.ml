@@ -324,6 +324,25 @@ let prop_no_space_model =
              | Error _ -> false))
         ops)
 
+(* a write the backend refuses changes nothing: the old entry stays in
+   the table, so the file still reads and the root does not move *)
+let test_refused_write_changes_nothing () =
+  let dev = Block.create ~blocks:160 in
+  let v = Vpfs.create ~master_key (Fs.format dev) in
+  ok (Vpfs.write v "/a" "hello");
+  let root = Vpfs.root v in
+  (match Vpfs.write v "/a" (String.make 20_000 'x') with
+   | Error (Vpfs.Backend _) -> ()
+   | Ok () -> Alcotest.fail "a 20,000-byte write cannot fit on 160 blocks"
+   | Error e -> Alcotest.fail (Format.asprintf "%a" Vpfs.pp_error e));
+  Alcotest.(check string) "old bytes still read" "hello" (ok (Vpfs.read v "/a"));
+  Alcotest.(check string) "root unchanged" (Sha256.hex root) (Sha256.hex (Vpfs.root v));
+  (match Vpfs.write v "/fresh" (String.make 20_000 'x') with
+   | Error (Vpfs.Backend _) -> ()
+   | _ -> Alcotest.fail "expected a refused write");
+  Alcotest.(check bool) "refused new path absent" false (Vpfs.exists v "/fresh");
+  Alcotest.(check (list string)) "list unchanged" [ "/a" ] (Vpfs.list v)
+
 let suite =
   [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "empty and multi-chunk files" `Quick test_empty_and_large_files;
@@ -340,4 +359,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_vpfs_roundtrip;
     Alcotest.test_case "pinned storage bytes across restore and recovery" `Quick
       pinned_script;
-    QCheck_alcotest.to_alcotest prop_no_space_model ]
+    QCheck_alcotest.to_alcotest prop_no_space_model;
+    Alcotest.test_case "refused write changes nothing" `Quick
+      test_refused_write_changes_nothing ]
