@@ -109,22 +109,77 @@ let cmd_mail vertical exploit =
     risks;
   0
 
-(* --- tracing helper ----------------------------------------------------------- *)
+(* --- shared plumbing ----------------------------------------------------------- *)
 
-(* wrap a command in a fresh tracer and write the Chrome trace-event
-   JSON afterwards; without --trace the command runs uninstrumented *)
+type format = Text | Json
+
+let print_json v = print_endline (Lt_obs.Json.to_string v)
+
+(* the Chrome trace-event JSON of every recorded span, when --trace
+   named a file *)
+let write_trace trace_file tracer =
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (Lt_obs.Trace.export_json tracer)))
+    trace_file
+
+(* wrap a command in a fresh tracer and write the trace afterwards;
+   without --trace the command runs uninstrumented *)
 let with_trace trace_file f =
   match trace_file with
   | None -> f ()
   | Some file ->
     let tracer = Lt_obs.Trace.create () in
     let code = Lt_obs.Trace.with_tracer tracer f in
-    let oc = open_out file in
-    output_string oc (Lt_obs.Trace.export_json tracer);
-    close_out oc;
+    write_trace trace_file tracer;
     Printf.eprintf "trace: %d spans written to %s\n"
       (List.length (Lt_obs.Trace.spans tracer)) file;
     code
+
+(* the one ending of run, chaos, fleet, scale and hunt: write the trace,
+   print the report in the asked format, exit 1 unless its verdict holds *)
+let report ?trace format ~text ~json ~ok r =
+  Option.iter (fun (file, tracer) -> write_trace file tracer) trace;
+  print_string ((match format with Text -> text | Json -> json) r);
+  if ok r then 0 else 1
+
+(* every manifest file joins ONE fleet: cross-file hazards (a target
+   declared in another file, duplicate names across files) are
+   first-class findings, not blind spots. Each unparseable file is
+   reported on stderr; [stop] ends the load at the first one. *)
+type fleet = {
+  files : (string * Manifest_file.span list) list;  (** the parsed files *)
+  manifests : Manifest.t list;
+  hosts : Manifest.host list;
+  label : string;  (** the parsed files' names, for report headers *)
+  failed : bool;  (** some file did not parse *)
+}
+
+let load_fleet ?(stop = false) paths =
+  let failed = ref false in
+  let loaded =
+    List.filter_map
+      (fun path ->
+        if stop && !failed then None
+        else
+          match Manifest_file.load_fleet_spanned path with
+          | Ok (spans, hosts) -> Some (path, spans, hosts)
+          | Error e ->
+            failed := true;
+            Printf.eprintf "%s: %s\n" path e;
+            None)
+      paths
+  in
+  let files = List.map (fun (f, spans, _) -> (f, spans)) loaded in
+  { files;
+    manifests =
+      List.concat_map
+        (fun (_, spans) -> List.map (fun s -> s.Manifest_file.sp_manifest) spans)
+        files;
+    hosts = List.concat_map (fun (_, _, hs) -> hs) loaded;
+    label = String.concat ", " (List.map fst files);
+    failed = !failed }
 
 (* --- meter -------------------------------------------------------------------- *)
 
@@ -173,8 +228,6 @@ let cmd_gateway () =
 
 (* --- run: deterministic load against a deployed scenario --------------------------- *)
 
-type run_format = Run_text | Run_json
-
 let cmd_run scenario requests seed trace_file format drop delay compromise
     trace_capacity =
   if requests <= 0 then begin
@@ -188,26 +241,15 @@ let cmd_run scenario requests seed trace_file format drop delay compromise
     2
   end
   else begin
-    let faults =
-      { Lt_load.Load.drop_pct = drop; delay_pct = delay; compromise_pct = compromise }
-    in
-    match
-      Lt_load.Load.run ~faults ?trace_capacity ~scenario ~requests ~seed ()
-    with
+    let module L = Lt_load.Load in
+    let faults = { L.drop_pct = drop; delay_pct = delay; compromise_pct = compromise } in
+    match L.run ~faults ?trace_capacity ~scenario ~requests ~seed () with
     | Error e ->
       Printf.eprintf "run: %s\n" e;
       1
-    | Ok (report, tracer) ->
-      (match trace_file with
-       | None -> ()
-       | Some file ->
-         let oc = open_out file in
-         output_string oc (Lt_obs.Trace.export_json tracer);
-         close_out oc);
-      (match format with
-       | Run_text -> print_string (Lt_load.Load.render_report_text report)
-       | Run_json -> print_string (Lt_load.Load.render_report_json report));
-      if report.Lt_load.Load.r_errors > 0 then 1 else 0
+    | Ok (r, tracer) ->
+      report ~trace:(trace_file, tracer) format ~text:L.render_report_text
+        ~json:L.render_report_json ~ok:(fun r -> r.L.r_errors = 0) r
   end
 
 (* --- chaos: the load scenarios under seeded destruction ------------------------- *)
@@ -219,22 +261,15 @@ let cmd_chaos scenario requests seed trace_file format kill kill_pct flap
     2
   end
   else begin
-    let plan = { Lt_resil.Chaos.kill; kill_pct; flap; mid_ipc_pct = mid_ipc } in
-    match Lt_resil.Chaos.run ~plan ?trace_capacity ~scenario ~requests ~seed () with
+    let module C = Lt_resil.Chaos in
+    let plan = { C.kill; kill_pct; flap; mid_ipc_pct = mid_ipc } in
+    match C.run ~plan ?trace_capacity ~scenario ~requests ~seed () with
     | Error e ->
       Printf.eprintf "chaos: %s\n" e;
       2
-    | Ok (report, tracer) ->
-      (match trace_file with
-       | None -> ()
-       | Some file ->
-         let oc = open_out file in
-         output_string oc (Lt_obs.Trace.export_json tracer);
-         close_out oc);
-      (match format with
-       | Run_text -> print_string (Lt_resil.Chaos.render_report_text report)
-       | Run_json -> print_string (Lt_resil.Chaos.render_report_json report));
-      if Lt_resil.Chaos.contained report then 0 else 1
+    | Ok (r, tracer) ->
+      report ~trace:(trace_file, tracer) format ~text:C.render_report_text
+        ~json:C.render_report_json ~ok:C.contained r
   end
 
 (* --- fleet: machine kills and partitions across attested hosts ------------------ *)
@@ -309,17 +344,9 @@ let cmd_fleet hosts requests seed trace_file format kill_hosts partitions rogue
       | Error e ->
         Printf.eprintf "fleet: %s\n" e;
         2
-      | Ok (report, tracer) ->
-        (match trace_file with
-         | None -> ()
-         | Some file ->
-           let oc = open_out file in
-           output_string oc (Lt_obs.Trace.export_json tracer);
-           close_out oc);
-        (match format with
-         | Run_text -> print_string (Fc.render_report_text report)
-         | Run_json -> print_string (Fc.render_report_json report));
-        if Fc.contained report then 0 else 1
+      | Ok (r, tracer) ->
+        report ~trace:(trace_file, tracer) format ~text:Fc.render_report_text
+          ~json:Fc.render_report_json ~ok:Fc.contained r
     end
 
 (* --- hunt: differential fuzzing across substrates ------------------------------- *)
@@ -356,13 +383,9 @@ let cmd_hunt seed budget engine format replays =
              name;
            exit 2)
     in
-    let report =
-      Lt_fuzz.Hunt.run ~engines ~seed:(Int64.of_int seed) ~budget ()
-    in
-    (match format with
-     | Run_text -> print_string (Lt_fuzz.Hunt.render_text report)
-     | Run_json -> print_string (Lt_fuzz.Hunt.render_json report));
-    if Lt_fuzz.Hunt.ok report then 0 else 1
+    let module H = Lt_fuzz.Hunt in
+    report format ~text:H.render_text ~json:H.render_json ~ok:H.ok
+      (H.run ~engines ~seed:(Int64.of_int seed) ~budget ())
   end
 
 (* --- analyze a user-provided manifest file --------------------------------------- *)
@@ -433,8 +456,6 @@ let cmd_analyze file exploit path =
 
 (* --- lint: the static checker over manifest files --------------------------------- *)
 
-type lint_format = Lint_text | Lint_json
-
 let cmd_lint files format show_rules =
   if show_rules then begin
     print_string (Lint.catalogue_text ());
@@ -445,41 +466,19 @@ let cmd_lint files format show_rules =
     2
   end
   else begin
-    let parse_failed = ref false in
-    (* every file joins ONE fleet: cross-file hazards — a target
-       declared in another file, duplicate names across files — are
-       first-class findings, not blind spots *)
-    let loaded_fleet =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load_fleet_spanned file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok (spans, hosts) -> Some (file, spans, hosts))
-        files
+    let fleet = load_fleet files in
+    let config =
+      { Lint_rules.default_config with Lint_rules.declared_hosts = fleet.hosts }
     in
-    let loaded = List.map (fun (f, spans, _) -> (f, spans)) loaded_fleet in
-    let hosts = List.concat_map (fun (_, _, hs) -> hs) loaded_fleet in
-    let manifests =
-      List.concat_map
-        (fun (_, spans) ->
-          List.map (fun s -> s.Manifest_file.sp_manifest) spans)
-        loaded
-    in
-    let config = { Lint_rules.default_config with Lint_rules.declared_hosts = hosts } in
-    let diags = Lint.locate_all loaded (Lint.run ~config manifests) in
-    let label = String.concat ", " (List.map fst loaded) in
+    let diags = Lint.locate_all fleet.files (Lint.run ~config fleet.manifests) in
+    let parsed = fleet.files <> [] in
     (match format with
-     | Lint_text ->
-       if loaded <> [] then print_string (Lint.render_text ~file:label diags)
-     | Lint_json ->
-       print_string
-         ("["
-         ^ (if loaded = [] then "" else Lint.render_json ~file:label diags)
-         ^ "]\n"));
-    if !parse_failed then 2 else if Lint.has_errors diags then 1 else 0
+     | Text -> if parsed then print_string (Lint.render_text ~file:fleet.label diags)
+     | Json ->
+       print_json
+         (Lt_obs.Json.Arr
+            (if parsed then [ Lint.to_json ~file:fleet.label diags ] else [])));
+    if fleet.failed then 2 else if Lint.has_errors diags then 1 else 0
   end
 
 (* --- flow: information-flow analysis and kernel conformance ----------------------- *)
@@ -490,26 +489,14 @@ let cmd_flow files format dot conform =
     2
   end
   else begin
-    let parse_failed = ref false in
     (* like lint: all the files are one fleet, one lattice, one report *)
-    let loaded =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok manifests -> Some (file, manifests))
-        files
-    in
-    if loaded = [] then begin
-      if (not dot) && format = Lint_json then print_string "[]\n";
+    let fleet = load_fleet files in
+    if fleet.files = [] then begin
+      if (not dot) && format = Json then print_json (Lt_obs.Json.Arr []);
       2
     end
     else begin
-      let label = String.concat ", " (List.map fst loaded) in
-      let manifests = List.concat_map snd loaded in
+      let label = fleet.label and manifests = fleet.manifests in
       let any_violation = ref false in
       let r = Flow.analyze manifests in
       let conf =
@@ -529,10 +516,10 @@ let cmd_flow files format dot conform =
       (if dot then print_string (Flow.to_dot manifests r)
        else
          match format with
-         | Lint_text -> print_string (Flow.render_text ~file:label ?conformance:conf r)
-         | Lint_json ->
-           print_string ("[" ^ Flow.render_json ~file:label ?conformance:conf r ^ "]\n"));
-      if !parse_failed then 2 else if !any_violation then 1 else 0
+         | Text -> print_string (Flow.render_text ~file:label ?conformance:conf r)
+         | Json ->
+           print_json (Lt_obs.Json.Arr [ Flow.to_json ~file:label ?conformance:conf r ]));
+      if fleet.failed then 2 else if !any_violation then 1 else 0
     end
   end
 
@@ -544,13 +531,11 @@ let cmd_check files deltas_file format verify =
     2
   end
   else begin
-    let rec load_all acc = function
-      | [] -> Ok (List.rev acc)
-      | f :: rest ->
-        (match Manifest_file.load_fleet f with
-         | Error e -> Error (Printf.sprintf "%s: %s" f e)
-         | Ok (ms, hs) -> load_all ((f, ms, hs) :: acc) rest)
+    let input_error () =
+      if format = Json then print_json (Lt_obs.Json.Arr []);
+      2
     in
+    let fleet = load_fleet ~stop:true files in
     let deltas =
       match deltas_file with
       | None -> Ok []
@@ -566,70 +551,77 @@ let cmd_check files deltas_file format verify =
              (Printf.sprintf "%s:%d: %s" loc.Diagnostic.file
                 loc.Diagnostic.line pe_msg))
     in
-    match (load_all [] files, deltas) with
-    | Error e, _ | _, Error e ->
-      Printf.eprintf "%s\n" e;
-      2
-    | Ok loaded, Ok deltas ->
-      let label = String.concat ", " (List.map (fun (f, _, _) -> f) loaded) in
-      let config =
-        { Lint_rules.default_config with
-          Lint_rules.declared_hosts = List.concat_map (fun (_, _, hs) -> hs) loaded }
-      in
-      let st = Check.create ~config (List.concat_map (fun (_, ms, _) -> ms) loaded) in
-      let any_error = ref false in
-      let diverged = ref None in
-      let steps = Buffer.create 256 in
-      let flow_word st =
-        match (Check.flow_result st).Flow.verdict with
-        | Flow.Secure -> "secure"
-        | Flow.Leak ls -> Printf.sprintf "leak(%d)" (List.length ls)
-      in
-      let record n what st diags =
-        let s = Lint.summarize diags in
-        if Lint.has_errors diags then any_error := true;
+    if fleet.failed then input_error ()
+    else
+      match deltas with
+      | Error e ->
+        Printf.eprintf "%s\n" e;
+        input_error ()
+      | Ok deltas ->
+        let config =
+          { Lint_rules.default_config with Lint_rules.declared_hosts = fleet.hosts }
+        in
+        let st = Check.create ~config fleet.manifests in
+        let any_error = ref false in
+        let diverged = ref None in
+        let steps = ref [] in
+        let record n what st diags =
+          if Lint.has_errors diags then any_error := true;
+          steps := (n, what, st, Lint.summarize diags) :: !steps;
+          if verify && !diverged = None then
+            match Check.divergence st with
+            | Some reason -> diverged := Some (n, what, reason)
+            | None -> ()
+        in
+        record 0 "baseline" st (Check.diagnostics st);
+        let _, final =
+          List.fold_left
+            (fun (n, st) d ->
+              let st, diags = Check.apply d st in
+              record n (Delta.describe d) st diags;
+              (n + 1, st))
+            (1, st) deltas
+        in
+        let flow_word st =
+          match (Check.flow_result st).Flow.verdict with
+          | Flow.Secure -> "secure"
+          | Flow.Leak ls -> Printf.sprintf "leak(%d)" (List.length ls)
+        in
+        let steps = List.rev !steps in
         (match format with
-         | Lint_text ->
-           Buffer.add_string steps
-             (Printf.sprintf
-                "step %2d  %-36s %d components, %d errors, %d warnings, %d \
-                 infos, flow %s\n"
-                n what
-                (List.length (Check.manifests st))
-                s.Lint.errors s.Lint.warnings s.Lint.infos (flow_word st))
-         | Lint_json ->
-           Buffer.add_string steps
-             (Printf.sprintf
-                "{\"step\":%d,\"delta\":\"%s\",\"components\":%d,\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d},\"flow\":\"%s\"}"
-                n (Lt_obs.Metrics.json_escape what)
-                (List.length (Check.manifests st))
-                s.Lint.errors s.Lint.warnings s.Lint.infos (flow_word st)));
-        if verify && !diverged = None then
-          match Check.divergence st with
-          | Some reason -> diverged := Some (n, what, reason)
-          | None -> ()
-      in
-      record 0 "baseline" st (Check.diagnostics st);
-      let _, final =
-        List.fold_left
-          (fun (n, st) d ->
-            let st, diags = Check.apply d st in
-            if format = Lint_json then Buffer.add_string steps ",";
-            record n (Delta.describe d) st diags;
-            (n + 1, st))
-          (1, st) deltas
-      in
-      (match format with
-       | Lint_text ->
-         print_string (Buffer.contents steps);
-         print_newline ();
-         print_string (Lint.render_text ~file:label (Check.diagnostics final))
-       | Lint_json -> print_string ("[" ^ Buffer.contents steps ^ "]\n"));
-      (match !diverged with
-       | Some (n, what, reason) ->
-         Printf.eprintf "check: step %d (%s): %s\n" n what reason;
-         2
-       | None -> if !any_error then 1 else 0)
+         | Text ->
+           List.iter
+             (fun (n, what, st, s) ->
+               Printf.printf
+                 "step %2d  %-36s %d components, %d errors, %d warnings, %d \
+                  infos, flow %s\n"
+                 n what
+                 (List.length (Check.manifests st))
+                 s.Lint.errors s.Lint.warnings s.Lint.infos (flow_word st))
+             steps;
+           print_newline ();
+           print_string (Lint.render_text ~file:fleet.label (Check.diagnostics final))
+         | Json ->
+           print_json
+             (Lt_obs.Json.Arr
+                (List.map
+                   (fun (n, what, st, s) ->
+                     Lt_obs.Json.(
+                       Obj
+                         [ ("step", Int n); ("delta", Str what);
+                           ("components", Int (List.length (Check.manifests st)));
+                           ( "summary",
+                             Obj
+                               [ ("errors", Int s.Lint.errors);
+                                 ("warnings", Int s.Lint.warnings);
+                                 ("infos", Int s.Lint.infos) ] );
+                           ("flow", Str (flow_word st)) ]))
+                   steps)));
+        (match !diverged with
+         | Some (n, what, reason) ->
+           Printf.eprintf "check: step %d (%s): %s\n" n what reason;
+           2
+         | None -> if !any_error then 1 else 0)
   end
 
 (* --- contain: static blast-radius analysis ------------------------------------------ *)
@@ -644,28 +636,15 @@ let cmd_contain files format dot witness =
     2
   end
   else begin
-    let parse_failed = ref false in
     (* like lint: every file joins one fleet, one propagation graph *)
-    let loaded =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load_spanned file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok spans -> Some (file, spans))
-        files
-    in
-    if !parse_failed then 2
+    let fleet = load_fleet files in
+    if fleet.failed then begin
+      if format = Json && (not dot) && witness = None then
+        print_json (Lt_obs.Json.Arr []);
+      2
+    end
     else begin
-      let label = String.concat ", " (List.map fst loaded) in
-      let manifests =
-        List.concat_map
-          (fun (_, spans) ->
-            List.map (fun s -> s.Manifest_file.sp_manifest) spans)
-          loaded
-      in
+      let label = fleet.label and manifests = fleet.manifests in
       let r = Contain.analyze manifests in
       match witness with
       | Some root ->
@@ -695,23 +674,22 @@ let cmd_contain files format dot witness =
         end
         else begin
           let diags =
-            Lint.locate_all loaded
+            Lint.locate_all fleet.files
               (List.filter
                  (fun d -> List.mem d.Diagnostic.rule_id contain_rule_ids)
                  (Lint.run manifests))
           in
           (match format with
-           | Lint_text ->
+           | Text ->
              print_string (Contain.render_text ~file:label r);
              if diags <> [] then begin
                print_newline ();
                print_string (Lint.render_text ~file:label diags)
              end
-           | Lint_json ->
-             print_string
-               ("[" ^ Contain.render_json ~file:label r ^ ","
-               ^ Lint.render_json ~file:label diags
-               ^ "]\n"));
+           | Json ->
+             print_json
+               (Lt_obs.Json.Arr
+                  [ Contain.to_json ~file:label r; Lint.to_json ~file:label diags ]));
           if Lint.has_errors diags then 1 else 0
         end
     end
@@ -801,12 +779,46 @@ let mail_cmd =
     (Cmd.info "mail" ~exits:std_exits ~doc:"Analyse the email-client scenario (Figure 1)")
     Term.(const cmd_mail $ vertical $ exploit)
 
+(* the argument vocabulary the commands share; a command whose doc
+   differs passes its own *)
+
 let trace_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Write a Chrome trace-event JSON of every span to $(docv)")
+
+let trace_capacity_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "trace-capacity" ] ~docv:"N"
+        ~doc:"Bound the span ring buffer (oldest spans evicted first)")
+
+let scenario_conv =
+  Arg.enum
+    (List.map (fun s -> (Lt_load.Load.scenario_name s, s)) Lt_load.Load.all_scenarios)
+
+let scenario_info doc = Arg.info [] ~docv:"SCENARIO" ~doc
+
+let requests_arg ?(default = 100) ?(doc = "Number of requests to replay") () =
+  Arg.(value & opt int default & info [ "requests"; "n" ] ~docv:"N" ~doc)
+
+let seed_arg ?(default = 1) doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"S" ~doc)
+
+let format_arg doc =
+  Arg.(
+    value
+    & opt (enum [ ("text", Text); ("json", Json) ]) Text
+    & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+let report_format_arg = format_arg "Report format: $(b,text) or $(b,json)"
+
+let output_format_arg = format_arg "Output format: $(b,text) or $(b,json)"
+
+let manifest_files_arg = Arg.(value & pos_all file [] & info [] ~docv:"MANIFEST-FILE")
 
 let meter_cmd =
   let tamper =
@@ -828,35 +840,16 @@ let gateway_cmd =
 
 let run_cmd =
   let scenario =
-    let scenario_conv =
-      Arg.enum
-        (List.map
-           (fun s -> (Lt_load.Load.scenario_name s, s))
-           Lt_load.Load.all_scenarios)
-    in
     Arg.(
       required
       & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenario to deploy and load: $(b,mail), $(b,meter) or $(b,cloud)")
-  in
-  let requests =
-    Arg.(
-      value & opt int 100
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Number of requests to replay")
+      & scenario_info
+          "Scenario to deploy and load: $(b,mail), $(b,meter) or $(b,cloud)")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for the request mix, payloads and fault schedule; equal \
-                seeds give byte-identical traces and reports")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Run_text); ("json", Run_json) ]) Run_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: $(b,text) or $(b,json)")
+    seed_arg
+      "Seed for the request mix, payloads and fault schedule; equal seeds give \
+       byte-identical traces and reports"
   in
   let drop =
     Arg.(
@@ -876,13 +869,6 @@ let run_cmd =
           ~doc:"Percent of requests replaced by an off-manifest probe from a \
                 compromised caller")
   in
-  let trace_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:"Bound the span ring buffer (oldest spans evicted first)")
-  in
   Cmd.v
     (Cmd.info "run" ~exits:std_exits
 
@@ -891,40 +877,20 @@ let run_cmd =
           deterministic request mix with optional fault injection; exits 1 if \
           any request errored")
     Term.(
-      const cmd_run $ scenario $ requests $ seed $ trace_arg $ format $ drop
-      $ delay $ compromise $ trace_capacity)
+      const cmd_run $ scenario $ requests_arg () $ seed $ trace_arg
+      $ report_format_arg $ drop $ delay $ compromise $ trace_capacity_arg)
 
 let chaos_cmd =
   let scenario =
-    let scenario_conv =
-      Arg.enum
-        (List.map
-           (fun s -> (Lt_load.Load.scenario_name s, s))
-           Lt_load.Load.all_scenarios)
-    in
     Arg.(
       required
       & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenario to torture: $(b,mail), $(b,meter) or $(b,cloud)")
-  in
-  let requests =
-    Arg.(
-      value & opt int 100
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Number of requests to replay")
+      & scenario_info "Scenario to torture: $(b,mail), $(b,meter) or $(b,cloud)")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for the kill schedule, request mix and backoff jitter; \
-                equal seeds give byte-identical chaos reports")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Run_text); ("json", Run_json) ]) Run_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: $(b,text) or $(b,json)")
+    seed_arg
+      "Seed for the kill schedule, request mix and backoff jitter; equal seeds \
+       give byte-identical chaos reports"
   in
   let kill =
     Arg.(
@@ -958,13 +924,6 @@ let chaos_cmd =
             "Firing percentage for the substrate fault points (kill mid-IPC \
              on the microkernel, mid-ecall on SGX)")
   in
-  let trace_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:"Bound the span ring buffer (oldest spans evicted first)")
-  in
   Cmd.v
     (Cmd.info "chaos" ~exits:std_exits
 
@@ -974,8 +933,8 @@ let chaos_cmd =
           shadow oracle, and secrecy across crashes. Exits 0 when contained, \
           1 on a containment violation, 2 on setup errors")
     Term.(
-      const cmd_chaos $ scenario $ requests $ seed $ trace_arg $ format $ kill
-      $ kill_pct $ flap $ mid_ipc $ trace_capacity)
+      const cmd_chaos $ scenario $ requests_arg () $ seed $ trace_arg
+      $ report_format_arg $ kill $ kill_pct $ flap $ mid_ipc $ trace_capacity_arg)
 
 let fleet_cmd =
   let hosts =
@@ -985,24 +944,10 @@ let fleet_cmd =
           ~doc:"Simulated machines $(b,host-1) .. $(b,host-N), each offering \
                 microkernel, sgx and sep substrates")
   in
-  let requests =
-    Arg.(
-      value & opt int 100
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Number of requests to replay")
-  in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for host keys, kill instants, placement order, the \
-                request mix and backoff jitter; equal seeds give \
-                byte-identical fleet reports")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Run_text); ("json", Run_json) ]) Run_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: $(b,text) or $(b,json)")
+    seed_arg
+      "Seed for host keys, kill instants, placement order, the request mix \
+       and backoff jitter; equal seeds give byte-identical fleet reports"
   in
   let kill_hosts =
     Arg.(
@@ -1029,13 +974,6 @@ let fleet_cmd =
                 succeeds, attestation never does, and the audit asserts the \
                 host receives zero placements")
   in
-  let trace_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:"Bound the span ring buffer (oldest spans evicted first)")
-  in
   let replay =
     Arg.(
       value
@@ -1055,16 +993,15 @@ let fleet_cmd =
           failing attestation. Exits 0 when contained, 1 on a violation, 2 on \
           a bad plan")
     Term.(
-      const cmd_fleet $ hosts $ requests $ seed $ trace_arg $ format
-      $ kill_hosts $ partitions $ rogue $ trace_capacity $ replay)
+      const cmd_fleet $ hosts $ requests_arg () $ seed $ trace_arg
+      $ report_format_arg $ kill_hosts $ partitions $ rogue $ trace_capacity_arg
+      $ replay)
 
 let hunt_cmd =
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for every engine's generation stream; equal seeds give \
-                byte-identical hunt reports")
+    seed_arg
+      "Seed for every engine's generation stream; equal seeds give \
+       byte-identical hunt reports"
   in
   let budget =
     Arg.(
@@ -1079,12 +1016,6 @@ let hunt_cmd =
           ~doc:
             "Run one engine only: $(b,manifest), $(b,substrate), $(b,storage) \
              or $(b,analysis)")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Run_text); ("json", Run_json) ]) Run_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: $(b,text) or $(b,json)")
   in
   let replays =
     Arg.(
@@ -1101,7 +1032,7 @@ let hunt_cmd =
           agreement against a reference model, and storage crash/corruption \
           robustness. Failures are shrunk to minimal reproducers. Exits 0 \
           when clean, 1 on failures, 2 on usage errors")
-    Term.(const cmd_hunt $ seed $ budget $ engine $ format $ replays)
+    Term.(const cmd_hunt $ seed $ budget $ engine $ report_format_arg $ replays)
 
 let analyze_cmd =
   let file =
@@ -1126,15 +1057,6 @@ let analyze_cmd =
     Term.(const cmd_analyze $ file $ exploit $ path)
 
 let lint_cmd =
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"MANIFEST-FILE")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Lint_text); ("json", Lint_json) ]) Lint_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,text) or $(b,json)")
-  in
   let show_rules =
     Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit")
   in
@@ -1144,18 +1066,9 @@ let lint_cmd =
        ~doc:
          "Statically check manifest files for trust hazards; exits 1 if any \
           error-severity diagnostic fires (CI gate), 2 on parse failure")
-    Term.(const cmd_lint $ files $ format $ show_rules)
+    Term.(const cmd_lint $ manifest_files_arg $ output_format_arg $ show_rules)
 
 let flow_cmd =
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"MANIFEST-FILE")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Lint_text); ("json", Lint_json) ]) Lint_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,text) or $(b,json)")
-  in
   let dot =
     Arg.(
       value & flag
@@ -1175,12 +1088,9 @@ let flow_cmd =
        ~doc:
          "Lattice-based information-flow analysis over manifest files; exits 1 \
           on a leak or conformance over-privilege (CI gate), 2 on parse failure")
-    Term.(const cmd_flow $ files $ format $ dot $ conform)
+    Term.(const cmd_flow $ manifest_files_arg $ output_format_arg $ dot $ conform)
 
 let check_cmd =
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"MANIFEST-FILE")
-  in
   let deltas =
     Arg.(
       value
@@ -1190,12 +1100,6 @@ let check_cmd =
             "Delta script to replay against the fleet (see \
              $(b,docs/INCREMENTAL.md) for the format); without it only the \
              baseline fleet is checked")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Lint_text); ("json", Lint_json) ]) Lint_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,text) or $(b,json)")
   in
   let verify =
     Arg.(
@@ -1213,18 +1117,9 @@ let check_cmd =
           control-plane deltas; prints one verdict line per step, exits 1 if \
           any step has an error-severity finding, 2 on parse failure or \
           incremental/batch divergence")
-    Term.(const cmd_check $ files $ deltas $ format $ verify)
+    Term.(const cmd_check $ manifest_files_arg $ deltas $ output_format_arg $ verify)
 
 let contain_cmd =
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"MANIFEST-FILE")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Lint_text); ("json", Lint_json) ]) Lint_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,text) or $(b,json)")
-  in
   let dot =
     Arg.(
       value & flag
@@ -1251,30 +1146,20 @@ let contain_cmd =
           domains, supervision, state). The chaos harness's observed radii \
           are property-checked to stay inside these predictions. Exits 1 on \
           error-severity containment findings (L020-L023), 2 on parse failure")
-    Term.(const cmd_contain $ files $ format $ dot $ witness)
+    Term.(const cmd_contain $ manifest_files_arg $ output_format_arg $ dot $ witness)
 
 let snap_cmd =
   let scenario =
-    let scenario_conv =
-      Arg.enum
-        (List.map
-           (fun s -> (Lt_load.Load.scenario_name s, s))
-           Lt_load.Load.all_scenarios)
-    in
     Arg.(
       value
       & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenario world to digest (default: all three)")
+      & scenario_info "Scenario world to digest (default: all three)")
   in
   let layers =
     Arg.(value & flag & info [ "layers" ] ~doc:"Print every layer's digest")
   in
   let seed =
-    Arg.(
-      value & opt int 0x5eed
-      & info [ "seed" ] ~docv:"S" ~doc:"Deployment seed; equal seeds boot \
-                                        digest-identical worlds")
+    seed_arg ~default:0x5eed "Deployment seed; equal seeds boot digest-identical worlds"
   in
   Cmd.v
     (Cmd.info "snap" ~exits:std_exits
@@ -1321,27 +1206,19 @@ let cmd_scale scenario tenants shards requests batch seed admit_rate admit_burst
     | Error e ->
       Printf.eprintf "scale: %s\n" e;
       2
-    | Ok report ->
-      (match format with
-       | Run_text -> print_string (Sc.render_report_text report)
-       | Run_json -> print_string (Sc.render_report_json report));
-      if Sc.contained report then 0 else 1
+    | Ok r ->
+      report format ~text:Sc.render_report_text ~json:Sc.render_report_json
+        ~ok:Sc.contained r
   end
 
 let scale_cmd =
   let scenario =
-    let scenario_conv =
-      Arg.enum
-        (List.map
-           (fun s -> (Lt_load.Load.scenario_name s, s))
-           Lt_load.Load.all_scenarios)
-    in
     Arg.(
       value
       & pos 0 scenario_conv Lt_load.Load.Mail
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenario each tenant instance runs: $(b,mail), $(b,meter) or \
-                $(b,cloud) (default mail)")
+      & scenario_info
+          "Scenario each tenant instance runs: $(b,mail), $(b,meter) or \
+           $(b,cloud) (default mail)")
   in
   let tenants =
     Arg.(
@@ -1357,10 +1234,8 @@ let scale_cmd =
           ~doc:"Template deployments; tenants are sharded round-robin")
   in
   let requests =
-    Arg.(
-      value & opt int 8
-      & info [ "requests"; "n" ] ~docv:"N"
-          ~doc:"Requests per tenant (total load = tenants \xc3\x97 N)")
+    requests_arg ~default:8
+      ~doc:"Requests per tenant (total load = tenants \xc3\x97 N)" ()
   in
   let batch =
     Arg.(
@@ -1370,12 +1245,10 @@ let scale_cmd =
                 tenant's world and moves on")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for deployment and per-tenant mixes; equal seeds give \
-                byte-identical scale reports, and tenant $(b,i)'s traffic \
-                digest is independent of the tenant count")
+    seed_arg
+      "Seed for deployment and per-tenant mixes; equal seeds give \
+       byte-identical scale reports, and tenant $(b,i)'s traffic digest is \
+       independent of the tenant count"
   in
   let admit_rate =
     Arg.(
@@ -1402,12 +1275,6 @@ let scale_cmd =
       & info [ "kill-after" ] ~docv:"ROUND"
           ~doc:"Round at whose start the kills fire (0: never)")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", Run_text); ("json", Run_json) ]) Run_text
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: $(b,text) or $(b,json)")
-  in
   let verdicts =
     Arg.(
       value & flag
@@ -1425,7 +1292,7 @@ let scale_cmd =
           shards' domain set, 1 on a cross-domain failure, 2 on usage errors")
     Term.(
       const cmd_scale $ scenario $ tenants $ shards $ requests $ batch $ seed
-      $ admit_rate $ admit_burst $ kill_shards $ kill_after $ format
+      $ admit_rate $ admit_burst $ kill_shards $ kill_after $ report_format_arg
       $ verdicts)
 
 let () =

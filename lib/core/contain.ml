@@ -603,54 +603,40 @@ let render_text ~file r =
        roots);
   Buffer.contents buf
 
-let render_json ~file r =
-  let js = Diagnostic.json_string in
-  let arr xs = "[" ^ String.concat "," xs ^ "]" in
-  let radii =
-    arr
-      (List.map
-         (fun rad ->
-           let victims =
-             List.filter (fun (n, _) -> n <> rad.r_root) rad.r_hit
-           in
-           let escape =
-             match rad.r_escape with
-             | None -> ""
-             | Some x ->
-               Printf.sprintf
-                 ",\"escape\":{\"victim\":%s,\"impact\":%s,\"outside\":%d,\"path\":%s}"
-                 (js x.x_victim)
-                 (js (impact_to_string x.x_impact))
-                 x.x_outside
-                 (arr (List.map js x.x_path))
-           in
-           Printf.sprintf "{\"root\":%s,\"self\":%s,\"victims\":%s%s}"
-             (js rad.r_root)
-             (js (impact_to_string rad.r_self))
-             (arr
-                (List.map
-                   (fun (n, i) ->
-                     Printf.sprintf "{\"component\":%s,\"impact\":%s}" (js n)
-                       (js (impact_to_string i)))
-                   victims))
-             escape)
-         r.radii)
-  in
-  let edges =
-    arr
-      (List.map
-         (fun e ->
-           Printf.sprintf "{\"src\":%s,\"dst\":%s,\"kind\":%s}" (js e.p_src)
-             (js e.p_dst)
-             (js (kind_to_string e.p_kind)))
-         r.edges)
-  in
-  Printf.sprintf "{\"file\":%s,\"verdict\":%s,\"radii\":%s,\"edges\":%s}" (js file)
-    (js
-       (match r.verdict with
-        | Contained -> "contained"
-        | Uncontained _ -> "uncontained"))
-    radii edges
+let to_json ~file r =
+  Lt_obs.Json.(
+    let radius rad =
+      let escape x =
+        Obj
+          [ ("victim", Str x.x_victim); ("impact", Str (impact_to_string x.x_impact));
+            ("outside", Int x.x_outside); ("path", strs x.x_path) ]
+      in
+      Obj
+        ([ ("root", Str rad.r_root); ("self", Str (impact_to_string rad.r_self));
+           ( "victims",
+             Arr
+               (List.map
+                  (fun (n, i) ->
+                    Obj [ ("component", Str n); ("impact", Str (impact_to_string i)) ])
+                  (List.filter (fun (n, _) -> n <> rad.r_root) rad.r_hit)) ) ]
+        @ Option.fold ~none:[] ~some:(fun x -> [ ("escape", escape x) ]) rad.r_escape)
+    in
+    Obj
+      [ ("file", Str file);
+        ( "verdict",
+          Str
+            (match r.verdict with
+             | Contained -> "contained"
+             | Uncontained _ -> "uncontained") );
+        ("radii", Arr (List.map radius r.radii));
+        ( "edges",
+          Arr
+            (List.map
+               (fun e ->
+                 Obj
+                   [ ("src", Str e.p_src); ("dst", Str e.p_dst);
+                     ("kind", Str (kind_to_string e.p_kind)) ])
+               r.edges) ) ])
 
 let to_dot manifests r =
   let manifests = Manifest.dedupe manifests in

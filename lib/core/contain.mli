@@ -209,7 +209,7 @@ val escapes :
 
 val render_text : file:string -> result -> string
 
-val render_json : file:string -> result -> string
+val to_json : file:string -> result -> Lt_obs.Json.t
 
 (** Propagation graph in Graphviz DOT: nodes coloured by the component's
     own crash impact, escape roots double-bordered, one edge per kind. *)

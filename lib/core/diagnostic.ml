@@ -53,17 +53,11 @@ let to_text t =
     (String.make 52 ' ')
     t.fix_hint
 
-let json_string s = "\"" ^ Lt_obs.Metrics.json_escape s ^ "\""
-
 let to_json t =
-  Printf.sprintf
-    "{\"rule\":%s,\"severity\":%s,\"component\":%s,\"service\":%s,\"message\":%s,\"fix_hint\":%s,\"location\":%s}"
-    (json_string t.rule_id)
-    (json_string (severity_to_string t.severity))
-    (json_string t.component)
-    (match t.service with None -> "null" | Some s -> json_string s)
-    (json_string t.message) (json_string t.fix_hint)
-    (match t.loc with
-     | None -> "null"
-     | Some { file; line } ->
-       Printf.sprintf "{\"file\":%s,\"line\":%d}" (json_string file) line)
+  Lt_obs.Json.(
+    let location { file; line } = Obj [ ("file", Str file); ("line", Int line) ] in
+    Obj
+      [ ("rule", Str t.rule_id); ("severity", Str (severity_to_string t.severity));
+        ("component", Str t.component); ("service", opt (fun s -> Str s) t.service);
+        ("message", Str t.message); ("fix_hint", Str t.fix_hint);
+        ("location", opt location t.loc) ])

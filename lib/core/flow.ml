@@ -561,58 +561,54 @@ let render_text ~file ?conformance:conf r =
      end);
   Buffer.contents buf
 
-let render_json ~file ?conformance:conf r =
-  let js = Diagnostic.json_string in
-  let arr xs = "[" ^ String.concat "," xs ^ "]" in
-  let strs xs = arr (List.map js xs) in
-  let labels =
-    arr
-      (List.map
-         (fun (n, l) ->
-           Printf.sprintf "{\"component\":%s,\"label\":%s}" (js n)
-             (js (Flow_lattice.to_string l)))
-         r.labels)
-  in
-  let taint =
-    arr
-      (List.map
-         (fun h ->
-           Printf.sprintf
-             "{\"source\":%s,\"sink\":%s,\"direct\":%b,\"path\":%s}"
-             (js h.t_source) (js h.t_sink) h.t_direct (strs h.t_path))
-         r.taint_hits)
-  in
-  let leaks =
-    arr
-      (List.map
-         (fun l ->
-           Printf.sprintf "{\"secret\":%s,\"sink\":%s,\"path\":%s}" (js l.l_secret)
-             (js l.l_sink) (strs l.l_path))
-         r.leaks)
-  in
-  let conf_json =
-    match conf with
-    | None -> ""
-    | Some c ->
-      Printf.sprintf ",\"conformance\":{\"capabilities\":%d,\"over\":%s,\"under\":%s}"
-        (List.length c.facts)
-        (arr
-           (List.map
-              (fun o ->
-                Printf.sprintf "{\"task\":%s,\"endpoint\":%s,\"reason\":%s}"
-                  (js o.o_task) (js o.o_endpoint) (js o.o_reason))
-              c.over))
-        (arr
-           (List.map
-              (fun u ->
-                Printf.sprintf "{\"caller\":%s,\"target\":%s,\"services\":%s}"
-                  (js u.u_caller) (js u.u_target) (strs u.u_services))
-              c.under))
-  in
-  Printf.sprintf
-    "{\"file\":%s,\"verdict\":%s,\"labels\":%s,\"taint\":%s,\"leaks\":%s%s}" (js file)
-    (js (match r.verdict with Secure -> "secure" | Leak _ -> "leak"))
-    labels taint leaks conf_json
+let to_json ~file ?conformance:conf r =
+  Lt_obs.Json.(
+    let conformance c =
+      Obj
+        [ ("capabilities", Int (List.length c.facts));
+          ( "over",
+            Arr
+              (List.map
+                 (fun o ->
+                   Obj
+                     [ ("task", Str o.o_task); ("endpoint", Str o.o_endpoint);
+                       ("reason", Str o.o_reason) ])
+                 c.over) );
+          ( "under",
+            Arr
+              (List.map
+                 (fun u ->
+                   Obj
+                     [ ("caller", Str u.u_caller); ("target", Str u.u_target);
+                       ("services", strs u.u_services) ])
+                 c.under) ) ]
+    in
+    Obj
+      ([ ("file", Str file);
+         ("verdict", Str (match r.verdict with Secure -> "secure" | Leak _ -> "leak"));
+         ( "labels",
+           Arr
+             (List.map
+                (fun (n, l) ->
+                  Obj [ ("component", Str n); ("label", Str (Flow_lattice.to_string l)) ])
+                r.labels) );
+         ( "taint",
+           Arr
+             (List.map
+                (fun h ->
+                  Obj
+                    [ ("source", Str h.t_source); ("sink", Str h.t_sink);
+                      ("direct", Bool h.t_direct); ("path", strs h.t_path) ])
+                r.taint_hits) );
+         ( "leaks",
+           Arr
+             (List.map
+                (fun l ->
+                  Obj
+                    [ ("secret", Str l.l_secret); ("sink", Str l.l_sink);
+                      ("path", strs l.l_path) ])
+                r.leaks) ) ]
+      @ Option.fold ~none:[] ~some:(fun c -> [ ("conformance", conformance c) ]) conf))
 
 let to_dot manifests r =
   let manifests = Manifest.dedupe manifests in

@@ -163,7 +163,7 @@ val check_deployment :
 val render_text : file:string -> ?conformance:conformance -> result -> string
 
 (** One JSON object per file, machine-readable counterpart. *)
-val render_json : file:string -> ?conformance:conformance -> result -> string
+val to_json : file:string -> ?conformance:conformance -> result -> Lt_obs.Json.t
 
 (** Labelled channel graph in Graphviz DOT: nodes coloured by label,
     request edges solid, vetted channels dashed with a [vetted] tag. *)

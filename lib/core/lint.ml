@@ -58,13 +58,16 @@ let render_text ~file diags =
     diags;
   Buffer.contents buf
 
-let render_json ~file diags =
+let to_json ~file diags =
   let s = summarize diags in
-  Printf.sprintf
-    "{\"file\":%s,\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d},\"diagnostics\":[%s]}"
-    (Diagnostic.json_string file)
-    s.errors s.warnings s.infos
-    (String.concat "," (List.map Diagnostic.to_json diags))
+  Lt_obs.Json.(
+    Obj
+      [ ("file", Str file);
+        ( "summary",
+          Obj
+            [ ("errors", Int s.errors); ("warnings", Int s.warnings);
+              ("infos", Int s.infos) ] );
+        ("diagnostics", Arr (List.map Diagnostic.to_json diags)) ])
 
 let catalogue () =
   List.map

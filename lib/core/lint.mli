@@ -42,7 +42,7 @@ val render_text : file:string -> Diagnostic.t list -> string
 
 (** One JSON object
     [{"file":..,"summary":{..},"diagnostics":[..]}] per manifest file. *)
-val render_json : file:string -> Diagnostic.t list -> string
+val to_json : file:string -> Diagnostic.t list -> Lt_obs.Json.t
 
 (** [(id, severity, summary, paper_ref)] for every registered rule. *)
 val catalogue : unit -> (string * Diagnostic.severity * string * string) list

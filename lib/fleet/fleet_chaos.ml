@@ -2,6 +2,7 @@ open Lt_crypto
 open Lateral
 module Trace = Lt_obs.Trace
 module Metrics = Lt_obs.Metrics
+module Json = Lt_obs.Json
 
 type partition_spec = {
   pt_host : string;
@@ -495,81 +496,55 @@ let render_report_text r =
       add "  CONTAINMENT VIOLATION at request %d: %s\n" i detail)
     r.fc_violation_detail;
   add "  unroutable packets: %d; ticks: %d\n" r.fc_unroutable r.fc_span_ticks;
-  Buffer.add_string buf "counters:\n";
-  List.iter (fun (k, v) -> add "  %-40s %d\n" k v) r.fc_counters;
+  Metrics.add_counters_text buf r.fc_counters;
   add "verdict: %s\n" (if contained r then "contained" else "NOT CONTAINED");
   Buffer.contents buf
 
 let render_report_json r =
-  let esc = Metrics.json_escape in
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add
-    "{\"hosts\":%d,\"rogue\":[%s],\"requests\":%d,\"seed\":%d,\"ok\":%d,\"failed_excused\":%d,\"failed_unexcused\":%d"
-    r.fc_hosts
-    (String.concat "," (List.map (fun h -> "\"" ^ esc h ^ "\"") r.fc_rogue))
-    r.fc_requests r.fc_seed r.fc_ok r.fc_failed_excused r.fc_failed_unexcused;
-  add ",\"kills\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (i, h) -> Printf.sprintf "{\"at\":%d,\"host\":\"%s\"}" i (esc h))
-          r.fc_kills));
-  add ",\"partitions\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (i, h, what) ->
-            Printf.sprintf "{\"at\":%d,\"host\":\"%s\",\"event\":\"%s\"}" i
-              (esc h) (esc what))
-          r.fc_partition_events));
-  add ",\"epochs\":{%s}"
-    (String.concat ","
-       (List.map (fun (h, n) -> Printf.sprintf "\"%s\":%d" (esc h) n) r.fc_epochs));
-  add ",\"attests\":{%s},\"attest_failures\":%d,\"rogue_placements\":%d"
-    (String.concat ","
-       (List.map (fun (h, n) -> Printf.sprintf "\"%s\":%d" (esc h) n) r.fc_attests))
-    r.fc_attest_failures r.fc_rogue_placements;
-  add ",\"placements\":{%s},\"failovers\":[%s],\"fenced\":%d"
-    (String.concat ","
-       (List.map
-          (fun (c, h) -> Printf.sprintf "\"%s\":\"%s\"" (esc c) (esc h))
-          r.fc_placements))
-    (String.concat ","
-       (List.map
-          (fun (c, h) ->
-            Printf.sprintf "{\"cluster\":\"%s\",\"to\":\"%s\"}" (esc c) (esc h))
-          r.fc_failovers))
-    r.fc_fenced;
-  add ",\"recovery_ticks\":[%s],\"recovery_median\":%d"
-    (String.concat "," (List.map string_of_int r.fc_recovery_ticks))
-    (median r.fc_recovery_ticks);
-  add ",\"unplaced\":[%s],\"observed\":{%s},\"radius_escapes\":[%s]"
-    (String.concat ","
-       (List.map (fun c -> "\"" ^ esc c ^ "\"") r.fc_unplaced))
-    (String.concat ","
-       (List.map
-          (fun (c, im) -> Printf.sprintf "\"%s\":\"%s\"" (esc c) (impact im))
-          r.fc_observed))
-    (String.concat ","
-       (List.map
-          (fun (c, got, allowed) ->
-            Printf.sprintf
-              "{\"component\":\"%s\",\"observed\":\"%s\",\"allowed\":\"%s\"}"
-              (esc c) (impact got) (allowance allowed))
-          r.fc_radius_escapes));
-  add ",\"violations\":[%s],\"unroutable\":%d,\"span_ticks\":%d,\"contained\":%b,\"counters\":{"
-    (String.concat ","
-       (List.map
-          (fun (i, detail) ->
-            Printf.sprintf "{\"at\":%d,\"detail\":\"%s\"}" i (esc detail))
-          r.fc_violation_detail))
-    r.fc_unroutable r.fc_span_ticks (contained r);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add "\"%s\":%d" (esc k) v)
-    r.fc_counters;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  Json.(
+    let ints l = Obj (List.map (fun (h, n) -> (h, Int n)) l) in
+    let at i field v = [ ("at", Int i); (field, Str v) ] in
+    to_string
+      (Obj
+         [ ("hosts", Int r.fc_hosts); ("rogue", strs r.fc_rogue);
+           ("requests", Int r.fc_requests); ("seed", Int r.fc_seed);
+           ("ok", Int r.fc_ok); ("failed_excused", Int r.fc_failed_excused);
+           ("failed_unexcused", Int r.fc_failed_unexcused);
+           ("kills", Arr (List.map (fun (i, h) -> Obj (at i "host" h)) r.fc_kills));
+           ( "partitions",
+             Arr
+               (List.map
+                  (fun (i, h, what) -> Obj (at i "host" h @ [ ("event", Str what) ]))
+                  r.fc_partition_events) );
+           ("epochs", ints r.fc_epochs); ("attests", ints r.fc_attests);
+           ("attest_failures", Int r.fc_attest_failures);
+           ("rogue_placements", Int r.fc_rogue_placements);
+           ("placements", Obj (List.map (fun (c, h) -> (c, Str h)) r.fc_placements));
+           ( "failovers",
+             Arr
+               (List.map
+                  (fun (c, h) -> Obj [ ("cluster", Str c); ("to", Str h) ])
+                  r.fc_failovers) );
+           ("fenced", Int r.fc_fenced);
+           ("recovery_ticks", Arr (List.map (fun t -> Int t) r.fc_recovery_ticks));
+           ("recovery_median", Int (median r.fc_recovery_ticks));
+           ("unplaced", strs r.fc_unplaced);
+           ( "observed",
+             Obj (List.map (fun (c, im) -> (c, Str (impact im))) r.fc_observed) );
+           ( "radius_escapes",
+             Arr
+               (List.map
+                  (fun (c, got, allowed) ->
+                    Obj
+                      [ ("component", Str c); ("observed", Str (impact got));
+                        ("allowed", Str (allowance allowed)) ])
+                  r.fc_radius_escapes) );
+           ( "violations",
+             Arr (List.map (fun (i, d) -> Obj (at i "detail" d)) r.fc_violation_detail) );
+           ("unroutable", Int r.fc_unroutable); ("span_ticks", Int r.fc_span_ticks);
+           ("contained", Bool (contained r));
+           ("counters", Metrics.counters_json r.fc_counters) ]))
+  ^ "\n"
 
 (* --- shard kills --------------------------------------------------------------- *)
 

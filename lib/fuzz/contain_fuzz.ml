@@ -184,7 +184,7 @@ let check_static ms =
     else begin
       match
         ( Contain.render_text ~file:"fuzz" r,
-          Contain.render_json ~file:"fuzz" r,
+          Lt_obs.Json.to_string (Contain.to_json ~file:"fuzz" r),
           Contain.to_dot ms r )
       with
       | exception exn -> raised "contain renderers" exn

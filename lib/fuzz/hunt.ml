@@ -130,21 +130,23 @@ let render_text report =
   Buffer.contents b
 
 let render_json report =
-  let json_escape = Lt_obs.Metrics.json_escape in
-  let failure f =
-    Printf.sprintf
-      "{\"case\":%d,\"what\":\"%s\",\"payload\":\"%s\"}"
-      f.f_case (json_escape f.f_what) (json_escape f.f_repro.Repro.payload)
-  in
-  let engine e =
-    Printf.sprintf
-      "{\"engine\":\"%s\",\"cases\":%d,\"shrink_steps\":%d,\"failures\":[%s]}"
-      (engine_name e.e_engine) e.e_cases e.e_shrink_steps
-      (String.concat "," (List.map failure e.e_failures))
-  in
-  Printf.sprintf "{\"seed\":%Ld,\"clean\":%b,\"engines\":[%s]}\n" report.r_seed
-    (ok report)
-    (String.concat "," (List.map engine report.r_engines))
+  Lt_obs.Json.(
+    let failure f =
+      Obj
+        [ ("case", Int f.f_case); ("what", Str f.f_what);
+          ("payload", Str f.f_repro.Repro.payload) ]
+    in
+    let engine e =
+      Obj
+        [ ("engine", Str (engine_name e.e_engine)); ("cases", Int e.e_cases);
+          ("shrink_steps", Int e.e_shrink_steps);
+          ("failures", Arr (List.map failure e.e_failures)) ]
+    in
+    to_string
+      (Obj
+         [ ("seed", Int (Int64.to_int report.r_seed)); ("clean", Bool (ok report));
+           ("engines", Arr (List.map engine report.r_engines)) ]))
+  ^ "\n"
 
 let replay (repro : Repro.t) =
   match engine_of_name repro.Repro.engine with

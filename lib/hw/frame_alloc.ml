@@ -39,6 +39,22 @@ let free t page =
   Hashtbl.remove t.allocated page;
   t.free_list <- page :: t.free_list
 
+type refusal = Too_few | Fragmented
+
+let alloc_contiguous t n =
+  if n <= 0 then invalid_arg "Frame_alloc.alloc_contiguous: need frames";
+  match alloc_n t n with
+  | None -> Error Too_few
+  | Some frames ->
+    let base = List.fold_left min max_int frames in
+    if List.for_all (fun p -> p - base < n) frames then Ok base
+    else begin
+      (* give the frames back in reverse, so the free list is exactly
+         what it was before [alloc_n] *)
+      List.iter (free t) (List.rev frames);
+      Error Fragmented
+    end
+
 let free_count t = List.length t.free_list
 
 let total t = t.pages

@@ -16,6 +16,17 @@ val alloc : t -> int option
     fewer are free. *)
 val alloc_n : t -> int -> int list option
 
+(** Why {!alloc_contiguous} refused. *)
+type refusal =
+  | Too_few  (** fewer frames free than asked for *)
+  | Fragmented  (** the frames next in line are not one physical run *)
+
+(** [alloc_contiguous t n] takes the [n] frames {!alloc_n} would take
+    when they form one run of consecutive pages, and returns the lowest
+    one. On a refusal it takes nothing: the free list and
+    {!state_digest} are exactly as before. *)
+val alloc_contiguous : t -> int -> (int, refusal) result
+
 (** [free t page] returns a frame. Raises [Invalid_argument] on frames
     not owned or already free. *)
 val free : t -> int -> unit

@@ -4,6 +4,7 @@ module Net = Lt_net.Net
 module Gateway = Lt_net.Gateway
 module Trace = Lt_obs.Trace
 module Metrics = Lt_obs.Metrics
+module Json = Lt_obs.Json
 module Block = Lt_storage.Block
 module Fs = Lt_storage.Legacy_fs
 module Vpfs = Lt_storage.Vpfs
@@ -636,46 +637,21 @@ let render_report_text r =
     (Printf.sprintf "  spans: %d over %d ticks, substrates crossed: %s\n" r.r_spans
        r.r_span_ticks
        (if r.r_substrates = [] then "-" else String.concat ", " r.r_substrates));
-  Buffer.add_string buf "counters:\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" k v))
-    r.r_counters;
-  Buffer.add_string buf
-    (Printf.sprintf "latency histograms (ticks):\n  %-40s %8s %8s %8s %8s %8s\n"
-       "key" "count" "p50" "p95" "p99" "max");
-  List.iter
-    (fun (k, s) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-40s %8d %8d %8d %8d %8d\n" k s.Metrics.s_count
-           s.Metrics.s_p50 s.Metrics.s_p95 s.Metrics.s_p99 s.Metrics.s_max))
-    r.r_histograms;
+  Metrics.add_counters_text buf r.r_counters;
+  Metrics.add_histograms_text buf r.r_histograms;
   Buffer.contents buf
 
 let render_report_json r =
-  let esc = Metrics.json_escape in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"scenario\":\"%s\",\"requests\":%d,\"seed\":%d,\"ok\":%d,\"degraded\":%d,\"errors\":%d,\"dropped\":%d,\"delayed\":%d,\"denied_probes\":%d,\"violations\":%d,\"spans\":%d,\"span_ticks\":%d,\"substrates\":[%s],\"counters\":{"
-       (esc r.r_scenario) r.r_requests r.r_seed r.r_ok r.r_degraded r.r_errors
-       r.r_dropped r.r_delayed r.r_denied_probes r.r_violations r.r_spans
-       r.r_span_ticks
-       (String.concat ","
-          (List.map (fun s -> "\"" ^ esc s ^ "\"") r.r_substrates)));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (esc k) v))
-    r.r_counters;
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d}"
-           (esc k) s.Metrics.s_count s.Metrics.s_sum s.Metrics.s_p50
-           s.Metrics.s_p95 s.Metrics.s_p99 s.Metrics.s_max))
-    r.r_histograms;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Obj
+         [ ("scenario", Str r.r_scenario); ("requests", Int r.r_requests);
+           ("seed", Int r.r_seed); ("ok", Int r.r_ok);
+           ("degraded", Int r.r_degraded); ("errors", Int r.r_errors);
+           ("dropped", Int r.r_dropped); ("delayed", Int r.r_delayed);
+           ("denied_probes", Int r.r_denied_probes);
+           ("violations", Int r.r_violations); ("spans", Int r.r_spans);
+           ("span_ticks", Int r.r_span_ticks); ("substrates", strs r.r_substrates);
+           ("counters", Metrics.counters_json r.r_counters);
+           ("histograms", Metrics.histograms_json r.r_histograms) ]))
+  ^ "\n"

@@ -76,13 +76,23 @@ val summaries : t -> (string * summary) list
     (0, 1]. *)
 val quantile_bounds : t -> string -> float -> (int * int) option
 
-(** {2 Rendering} *)
+(** {2 Rendering}
 
-val render_text : t -> string
+    Every run report renders its counter and histogram snapshots
+    through these, so the text block and the JSON objects have one
+    layout. *)
 
-val render_json : t -> string
-(** one JSON object: [{"counters":{...},"histograms":{...}}] *)
+(** [add_counters_text buf cs] appends ["counters:"] and one
+    ["  %-40s %d"] line per counter. *)
+val add_counters_text : Buffer.t -> (string * int) list -> unit
 
-(** [json_escape s] — minimal JSON string escaping; the one escaper
-    every JSON report and export in the repository uses. *)
-val json_escape : string -> string
+(** [add_histograms_text buf hs] appends the ["latency histograms
+    (ticks):"] table: a header row, then count, p50, p95, p99 and max
+    per key. *)
+val add_histograms_text : Buffer.t -> (string * summary) list -> unit
+
+(** [{"key":n,...}] *)
+val counters_json : (string * int) list -> Json.t
+
+(** [{"key":{"count":..,"sum":..,"p50":..,"p95":..,"p99":..,"max":..},...}] *)
+val histograms_json : (string * summary) list -> Json.t

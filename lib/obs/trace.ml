@@ -261,8 +261,8 @@ let by_start t =
       | c -> c)
     (spans t)
 
-let esc = Metrics.json_escape
-
+(* one Chrome trace event per line, so a diff of two exports reads
+   span by span *)
 let export_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
@@ -270,19 +270,18 @@ let export_json t =
     (fun i sp ->
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf "\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":1,\"tid\":%d,\"args\":{\"span_id\":%d,\"parent_id\":%s,\"status\":\"%s\""
-           (esc sp.sp_name) (esc sp.sp_kind) sp.sp_start
-           (sp.sp_end - sp.sp_start) sp.sp_trace sp.sp_id
-           (match sp.sp_parent with None -> "null" | Some p -> string_of_int p)
-           (esc sp.sp_status));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",\"%s\":\"%s\"" (esc k) (esc v)))
-        sp.sp_attrs;
-      Buffer.add_string buf "}}")
+      Json.(
+        to_buffer buf
+          (Obj
+             [ ("name", Str sp.sp_name); ("cat", Str sp.sp_kind); ("ph", Str "X");
+               ("ts", Int sp.sp_start); ("dur", Int (sp.sp_end - sp.sp_start));
+               ("pid", Int 1); ("tid", Int sp.sp_trace);
+               ( "args",
+                 Obj
+                   (("span_id", Int sp.sp_id)
+                   :: ("parent_id", opt (fun p -> Int p) sp.sp_parent)
+                   :: ("status", Str sp.sp_status)
+                   :: List.map (fun (k, v) -> (k, Str v)) sp.sp_attrs) ) ])))
     (by_start t);
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf

@@ -3,6 +3,7 @@ open Lateral
 module Load = Lt_load.Load
 module Trace = Lt_obs.Trace
 module Metrics = Lt_obs.Metrics
+module Json = Lt_obs.Json
 
 type plan = {
   kill : string list;
@@ -427,51 +428,36 @@ let render_report_text r =
       Buffer.add_string buf
         (Printf.sprintf "  CONTAINMENT VIOLATION at request %d: %s\n" i detail))
     r.c_violation_detail;
-  Buffer.add_string buf "counters:\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" k v))
-    r.c_counters;
+  Metrics.add_counters_text buf r.c_counters;
   Buffer.add_string buf
     (Printf.sprintf "verdict: %s\n"
        (if contained r then "contained" else "NOT CONTAINED"));
   Buffer.contents buf
 
 let render_report_json r =
-  let esc = Metrics.json_escape in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"scenario\":\"%s\",\"requests\":%d,\"seed\":%d,\"ok\":%d,\"failed_excused\":%d,\"failed_unexcused\":%d,\"kills\":[%s],\"flap_kills\":%d,\"backend_cuts\":%d,\"recovered\":%d,\"clean\":%d,\"oracle\":\"%s\",\"secret_leak\":%b,\"restarts\":{%s},\"given_up\":[%s],\"observed\":{%s},\"router_violations\":%d,\"span_ticks\":%d,\"violations\":[%s],\"contained\":%b,\"counters\":{"
-       (esc r.c_scenario) r.c_requests r.c_seed r.c_ok r.c_failed_excused
-       r.c_failed_unexcused
-       (String.concat ","
-          (List.map
-             (fun (i, n) -> Printf.sprintf "{\"at\":%d,\"component\":\"%s\"}" i (esc n))
-             r.c_kills))
-       r.c_flap_kills r.c_backend_cuts r.c_recovered r.c_clean (esc r.c_oracle)
-       r.c_secret_leak
-       (String.concat ","
-          (List.map
-             (fun (c, n) -> Printf.sprintf "\"%s\":%d" (esc c) n)
-             r.c_restarts))
-       (String.concat ","
-          (List.map (fun c -> "\"" ^ esc c ^ "\"") r.c_given_up))
-       (String.concat ","
-          (List.map
-             (fun (c, im) ->
-               Printf.sprintf "\"%s\":\"%s\"" (esc c) (Contain.impact_to_string im))
-             r.c_observed))
-       r.c_router_violations r.c_span_ticks
-       (String.concat ","
-          (List.map
-             (fun (i, detail) ->
-               Printf.sprintf "{\"at\":%d,\"detail\":\"%s\"}" i (esc detail))
-             r.c_violation_detail))
-       (contained r));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (esc k) v))
-    r.c_counters;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  Json.(
+    let at i field v = Obj [ ("at", Int i); (field, Str v) ] in
+    to_string
+      (Obj
+         [ ("scenario", Str r.c_scenario); ("requests", Int r.c_requests);
+           ("seed", Int r.c_seed); ("ok", Int r.c_ok);
+           ("failed_excused", Int r.c_failed_excused);
+           ("failed_unexcused", Int r.c_failed_unexcused);
+           ("kills", Arr (List.map (fun (i, n) -> at i "component" n) r.c_kills));
+           ("flap_kills", Int r.c_flap_kills); ("backend_cuts", Int r.c_backend_cuts);
+           ("recovered", Int r.c_recovered); ("clean", Int r.c_clean);
+           ("oracle", Str r.c_oracle); ("secret_leak", Bool r.c_secret_leak);
+           ("restarts", Obj (List.map (fun (c, n) -> (c, Int n)) r.c_restarts));
+           ("given_up", strs r.c_given_up);
+           ( "observed",
+             Obj
+               (List.map
+                  (fun (c, im) -> (c, Str (Contain.impact_to_string im)))
+                  r.c_observed) );
+           ("router_violations", Int r.c_router_violations);
+           ("span_ticks", Int r.c_span_ticks);
+           ( "violations",
+             Arr (List.map (fun (i, d) -> at i "detail" d) r.c_violation_detail) );
+           ("contained", Bool (contained r));
+           ("counters", Metrics.counters_json r.c_counters) ]))
+  ^ "\n"

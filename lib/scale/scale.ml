@@ -4,6 +4,7 @@ module Digest64 = Lt_world.Digest64
 module Drbg = Lt_crypto.Drbg
 module Trace = Lt_obs.Trace
 module Metrics = Lt_obs.Metrics
+module Json = Lt_obs.Json
 module Load = Lt_load.Load
 module Net = Lt_net.Net
 module Gateway = Lt_net.Gateway
@@ -430,36 +431,35 @@ let render_report_text r =
   Buffer.contents buf
 
 let render_report_json r =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"scenario\":%S,\"tenants\":%d,\"shards\":%d" r.s_scenario r.s_tenants
-    r.s_shards;
-  add ",\"requests_per_tenant\":%d,\"requests\":%d,\"seed\":%d"
-    r.s_requests_per_tenant r.s_requests r.s_seed;
-  add ",\"ok\":%d,\"degraded\":%d,\"errors\":%d,\"throttled\":%d,\"refused\":%d"
-    r.s_ok r.s_degraded r.s_errors r.s_throttled r.s_refused;
-  add ",\"killed_shards\":[%s]"
-    (String.concat "," (List.map string_of_int r.s_killed_shards));
-  add ",\"cross_domain_failures\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (t, d) -> Printf.sprintf "{\"tenant\":%d,\"detail\":%S}" t d)
-          r.s_cross_domain_failures));
-  add ",\"contained\":%b" (contained r);
-  add ",\"forks\":%d,\"restores\":%d" r.s_forks r.s_restores;
-  add ",\"counters\":{%s}"
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) r.s_counters));
-  add ",\"tenants_detail\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun tr ->
-            Printf.sprintf
-              "{\"tenant\":%d,\"shard\":%d,\"domain\":%S,\"ok\":%d,\"degraded\":%d,\"errors\":%d,\"throttled\":%d,\"refused\":%d,\"traffic\":%S}"
-              tr.tr_tenant tr.tr_shard
-              (Manifest.trust_path_string tr.tr_domain)
-              tr.tr_ok tr.tr_degraded tr.tr_errors tr.tr_throttled
-              tr.tr_refused tr.tr_traffic)
-          r.s_tenant_reports));
-  add "}";
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Obj
+         [ ("scenario", Str r.s_scenario); ("tenants", Int r.s_tenants);
+           ("shards", Int r.s_shards);
+           ("requests_per_tenant", Int r.s_requests_per_tenant);
+           ("requests", Int r.s_requests); ("seed", Int r.s_seed);
+           ("ok", Int r.s_ok); ("degraded", Int r.s_degraded);
+           ("errors", Int r.s_errors); ("throttled", Int r.s_throttled);
+           ("refused", Int r.s_refused);
+           ("killed_shards", Arr (List.map (fun k -> Int k) r.s_killed_shards));
+           ( "cross_domain_failures",
+             Arr
+               (List.map
+                  (fun (t, d) -> Obj [ ("tenant", Int t); ("detail", Str d) ])
+                  r.s_cross_domain_failures) );
+           ("contained", Bool (contained r)); ("forks", Int r.s_forks);
+           ("restores", Int r.s_restores);
+           ("counters", Metrics.counters_json r.s_counters);
+           ( "tenants_detail",
+             Arr
+               (List.map
+                  (fun tr ->
+                    Obj
+                      [ ("tenant", Int tr.tr_tenant); ("shard", Int tr.tr_shard);
+                        ("domain", Str (Manifest.trust_path_string tr.tr_domain));
+                        ("ok", Int tr.tr_ok); ("degraded", Int tr.tr_degraded);
+                        ("errors", Int tr.tr_errors);
+                        ("throttled", Int tr.tr_throttled);
+                        ("refused", Int tr.tr_refused);
+                        ("traffic", Str tr.tr_traffic) ])
+                  r.s_tenant_reports) ) ]))

@@ -20,16 +20,11 @@ and handler = ctx -> string -> string
 
 let attach machine rng ~private_pages =
   let page = Mmu.page_size in
-  match Frame_alloc.alloc_n machine.Machine.dram_frames private_pages with
-  | None -> invalid_arg "Sep.attach: not enough DRAM"
-  | Some frames ->
-    let sorted = List.sort Stdlib.compare frames in
-    let contiguous =
-      List.for_all2 (fun p i -> p = List.hd sorted + i) sorted
-        (List.init private_pages (fun i -> i))
-    in
-    if not contiguous then invalid_arg "Sep.attach: non-contiguous frames";
-    let base = List.hd sorted * page in
+  match Frame_alloc.alloc_contiguous machine.Machine.dram_frames private_pages with
+  | Error Frame_alloc.Too_few -> invalid_arg "Sep.attach: not enough DRAM"
+  | Error Frame_alloc.Fragmented -> invalid_arg "Sep.attach: non-contiguous frames"
+  | Ok first ->
+    let base = first * page in
     let size = private_pages * page in
     let uid = Drbg.bytes rng 32 in
     Fuse.program machine.Machine.fuses ~name:"sep-uid" ~visibility:Fuse.Secure_only uid;

@@ -63,21 +63,11 @@ let mee_key cpu measurement =
 let create_enclave cpu ~name ~code ~epc_pages ~ecalls =
   if epc_pages <= 0 then invalid_arg "Sgx.create_enclave: need pages";
   let page = Mmu.page_size in
-  match Frame_alloc.alloc_n cpu.machine.Machine.dram_frames epc_pages with
-  | None -> invalid_arg "Sgx.create_enclave: out of EPC"
-  | Some frames ->
-    let sorted = List.sort Stdlib.compare frames in
-    let contiguous =
-      List.for_all2 (fun p i -> p = List.hd sorted + i) sorted
-        (List.init epc_pages (fun i -> i))
-    in
-    if not contiguous then begin
-      (* give the frames back in reverse, so the free list is exactly
-         what it was before [alloc_n] *)
-      List.iter (Frame_alloc.free cpu.machine.Machine.dram_frames) (List.rev frames);
-      invalid_arg "Sgx.create_enclave: EPC fragmentation"
-    end;
-    let base = List.hd sorted * page in
+  match Frame_alloc.alloc_contiguous cpu.machine.Machine.dram_frames epc_pages with
+  | Error Frame_alloc.Too_few -> invalid_arg "Sgx.create_enclave: out of EPC"
+  | Error Frame_alloc.Fragmented -> invalid_arg "Sgx.create_enclave: EPC fragmentation"
+  | Ok first ->
+    let base = first * page in
     let size = epc_pages * page in
     let measurement = measure_code code in
     cpu.next_enclave_id <- cpu.next_enclave_id + 1;
@@ -91,7 +81,7 @@ let create_enclave cpu ~name ~code ~epc_pages ~ecalls =
         e_name = name;
         e_measurement = measurement;
         e_base = base;
-        e_pages = sorted;
+        e_pages = List.init epc_pages (fun i -> first + i);
         e_size = size;
         ecall_table = table;
         e_cpu = cpu;

@@ -11,6 +11,18 @@ let run args =
 let check_exit name expected args =
   Alcotest.(check int) name expected (run args)
 
+(* [output args] — the exit code and stdout of one invocation *)
+let output args =
+  let out = Filename.temp_file "lateral_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >%s 2>/dev/null" exe args (Filename.quote out))
+      in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
 let with_temp content f =
   let path = Filename.temp_file "lateral_cli" ".tmp" in
   let oc = open_out path in
@@ -65,6 +77,22 @@ let test_check_deltas () =
       check_exit "check rejects a malformed delta script" 2
         (Printf.sprintf "check %s --deltas %s" clean bad))
 
+(* a --format json input error still leaves one JSON document on
+   stdout: the empty report list *)
+let test_json_input_errors () =
+  let empty name args =
+    Alcotest.(check (pair int string)) name (2, "[]\n") (output args)
+  in
+  with_temp "component a\n  bogus-field x\n" (fun bad ->
+      empty "lint" ("lint --format json " ^ bad);
+      empty "flow" ("flow --format json " ^ bad);
+      empty "contain" ("contain --format json " ^ bad);
+      empty "contain, one good file"
+        (Printf.sprintf "contain --format json %s %s" clean bad);
+      empty "check" ("check --format json " ^ bad);
+      empty "check, bad deltas"
+        (Printf.sprintf "check --format json %s --deltas %s" clean bad))
+
 let test_contain_verdicts () =
   check_exit "contain passes the clean fixture" 0 ("contain " ^ clean);
   check_exit "contain rejects an unknown witness root" 2
@@ -91,6 +119,8 @@ let suite =
       test_analysis_commands;
     Alcotest.test_case "check rejects bad delta scripts" `Quick
       test_check_deltas;
+    Alcotest.test_case "json input errors print an empty list" `Quick
+      test_json_input_errors;
     Alcotest.test_case "contain verdict and witness codes" `Quick
       test_contain_verdicts;
     Alcotest.test_case "snap digests and round-trips worlds" `Quick test_snap;

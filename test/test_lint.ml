@@ -331,15 +331,15 @@ let test_report_rendering () =
       ~component:{|we"ird|} ~service:"s" ~message:"line1\nline2\ttab"
       ~fix_hint:"do \"this\"" ()
   in
-  let json = Diagnostic.to_json d in
+  let json = Lt_obs.Json.to_string (Diagnostic.to_json d) in
   Alcotest.(check bool) "escapes quotes" true
     (string_contains ~inside:json {|"component":"we\"ird"|});
   Alcotest.(check bool) "escapes control characters" true
     (string_contains ~inside:json {|line1\nline2\ttab|});
-  let file_json = Lint.render_json ~file:"x.manifest" [ d ] in
+  let file_json = Lt_obs.Json.to_string (Lint.to_json ~file:"x.manifest" [ d ]) in
   Alcotest.(check bool) "summary counts the error" true
     (string_contains ~inside:file_json {|"summary":{"errors":1,"warnings":0,"infos":0}|});
-  let none = Lint.render_json ~file:"x.manifest" [] in
+  let none = Lt_obs.Json.to_string (Lint.to_json ~file:"x.manifest" []) in
   Alcotest.(check bool) "empty report is an empty array" true
     (string_contains ~inside:none {|"diagnostics":[]|})
 
@@ -382,7 +382,7 @@ let prop_lint_total =
     (fun ms ->
       let diags = Lint.run ms in
       List.sort Diagnostic.compare diags = diags
-      && String.length (Lint.render_json ~file:"f" diags) > 0)
+      && String.length (Lt_obs.Json.to_string (Lint.to_json ~file:"f" diags)) > 0)
 
 (* --- locate: span attachment ------------------------------------------------ *)
 

@@ -84,6 +84,31 @@ let test_no_shared_cache_with_app_cpu () =
     (List.length
        (Lt_hw.Cache.resident_sets machine.Lt_hw.Machine.cache ~domain:"sep"))
 
+(* an attach refused for fragmented DRAM takes nothing: the free list
+   is exactly what it was *)
+let test_fragmented_attach_frees_frames () =
+  let module Fa = Lt_hw.Frame_alloc in
+  let machine = Lt_hw.Machine.create ~dram_pages:16 () in
+  let frames = machine.Lt_hw.Machine.dram_frames in
+  let all =
+    match Fa.alloc_n frames (Fa.free_count frames) with
+    | Some all -> all
+    | None -> Alcotest.fail "cannot take every frame"
+  in
+  (* free two frames with a gap between them *)
+  Fa.free frames (List.nth all 0);
+  Fa.free frames (List.nth all 2);
+  let digest0 = Fa.state_digest frames in
+  Alcotest.(check bool) "fragmented attach refused" true
+    (try
+       ignore (Sep.attach machine (Drbg.create 7L) ~private_pages:2);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "frames returned" 2 (Fa.free_count frames);
+  Alcotest.(check string) "free list unchanged"
+    (Lt_world.Digest64.to_hex digest0)
+    (Lt_world.Digest64.to_hex (Fa.state_digest frames))
+
 let suite =
   [ Alcotest.test_case "mailbox dispatch & cost" `Quick test_mailbox_dispatch;
     Alcotest.test_case "uid key confined to sep" `Quick test_uid_key_confined;
@@ -92,4 +117,6 @@ let suite =
     Alcotest.test_case "store/load roundtrip" `Quick test_store_load;
     Alcotest.test_case "service crash contained" `Quick test_service_crash_contained;
     Alcotest.test_case "no shared cache side channel" `Quick
-      test_no_shared_cache_with_app_cpu ]
+      test_no_shared_cache_with_app_cpu;
+    Alcotest.test_case "fragmented attach frees its frames" `Quick
+      test_fragmented_attach_frees_frames ]
