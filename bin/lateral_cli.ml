@@ -603,20 +603,14 @@ let cmd_check files deltas_file format verify =
            print_string (Lint.render_text ~file:fleet.label (Check.diagnostics final))
          | Json ->
            print_json
-             (Lt_obs.Json.Arr
-                (List.map
-                   (fun (n, what, st, s) ->
-                     Lt_obs.Json.(
-                       Obj
-                         [ ("step", Int n); ("delta", Str what);
-                           ("components", Int (List.length (Check.manifests st)));
-                           ( "summary",
-                             Obj
-                               [ ("errors", Int s.Lint.errors);
-                                 ("warnings", Int s.Lint.warnings);
-                                 ("infos", Int s.Lint.infos) ] );
-                           ("flow", Str (flow_word st)) ]))
-                   steps)));
+             Lt_obs.Json.(
+               list
+                 (fun (n, what, st, s) ->
+                   Obj
+                     [ ("step", Int n); ("delta", Str what);
+                       ("components", Int (List.length (Check.manifests st)));
+                       ("summary", Lint.summary_json s); ("flow", Str (flow_word st)) ])
+                 steps));
         (match !diverged with
          | Some (n, what, reason) ->
            Printf.eprintf "check: step %d (%s): %s\n" n what reason;

@@ -614,11 +614,10 @@ let to_json ~file r =
       Obj
         ([ ("root", Str rad.r_root); ("self", Str (impact_to_string rad.r_self));
            ( "victims",
-             Arr
-               (List.map
-                  (fun (n, i) ->
-                    Obj [ ("component", Str n); ("impact", Str (impact_to_string i)) ])
-                  (List.filter (fun (n, _) -> n <> rad.r_root) rad.r_hit)) ) ]
+             list
+               (fun (n, i) ->
+                 Obj [ ("component", Str n); ("impact", Str (impact_to_string i)) ])
+               (List.filter (fun (n, _) -> n <> rad.r_root) rad.r_hit) ) ]
         @ Option.fold ~none:[] ~some:(fun x -> [ ("escape", escape x) ]) rad.r_escape)
     in
     Obj
@@ -628,15 +627,14 @@ let to_json ~file r =
             (match r.verdict with
              | Contained -> "contained"
              | Uncontained _ -> "uncontained") );
-        ("radii", Arr (List.map radius r.radii));
+        ("radii", list radius r.radii);
         ( "edges",
-          Arr
-            (List.map
-               (fun e ->
-                 Obj
-                   [ ("src", Str e.p_src); ("dst", Str e.p_dst);
-                     ("kind", Str (kind_to_string e.p_kind)) ])
-               r.edges) ) ])
+          list
+            (fun e ->
+              Obj
+                [ ("src", Str e.p_src); ("dst", Str e.p_dst);
+                  ("kind", Str (kind_to_string e.p_kind)) ])
+            r.edges ) ])
 
 let to_dot manifests r =
   let manifests = Manifest.dedupe manifests in

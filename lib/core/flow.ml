@@ -563,51 +563,33 @@ let render_text ~file ?conformance:conf r =
 
 let to_json ~file ?conformance:conf r =
   Lt_obs.Json.(
+    let label (n, l) =
+      Obj [ ("component", Str n); ("label", Str (Flow_lattice.to_string l)) ]
+    and taint h =
+      Obj
+        [ ("source", Str h.t_source); ("sink", Str h.t_sink); ("direct", Bool h.t_direct);
+          ("path", strs h.t_path) ]
+    and leak l =
+      Obj [ ("secret", Str l.l_secret); ("sink", Str l.l_sink); ("path", strs l.l_path) ]
+    and over o =
+      Obj
+        [ ("task", Str o.o_task); ("endpoint", Str o.o_endpoint);
+          ("reason", Str o.o_reason) ]
+    and under u =
+      Obj
+        [ ("caller", Str u.u_caller); ("target", Str u.u_target);
+          ("services", strs u.u_services) ]
+    in
     let conformance c =
       Obj
-        [ ("capabilities", Int (List.length c.facts));
-          ( "over",
-            Arr
-              (List.map
-                 (fun o ->
-                   Obj
-                     [ ("task", Str o.o_task); ("endpoint", Str o.o_endpoint);
-                       ("reason", Str o.o_reason) ])
-                 c.over) );
-          ( "under",
-            Arr
-              (List.map
-                 (fun u ->
-                   Obj
-                     [ ("caller", Str u.u_caller); ("target", Str u.u_target);
-                       ("services", strs u.u_services) ])
-                 c.under) ) ]
+        [ ("capabilities", Int (List.length c.facts)); ("over", list over c.over);
+          ("under", list under c.under) ]
     in
     Obj
       ([ ("file", Str file);
          ("verdict", Str (match r.verdict with Secure -> "secure" | Leak _ -> "leak"));
-         ( "labels",
-           Arr
-             (List.map
-                (fun (n, l) ->
-                  Obj [ ("component", Str n); ("label", Str (Flow_lattice.to_string l)) ])
-                r.labels) );
-         ( "taint",
-           Arr
-             (List.map
-                (fun h ->
-                  Obj
-                    [ ("source", Str h.t_source); ("sink", Str h.t_sink);
-                      ("direct", Bool h.t_direct); ("path", strs h.t_path) ])
-                r.taint_hits) );
-         ( "leaks",
-           Arr
-             (List.map
-                (fun l ->
-                  Obj
-                    [ ("secret", Str l.l_secret); ("sink", Str l.l_sink);
-                      ("path", strs l.l_path) ])
-                r.leaks) ) ]
+         ("labels", list label r.labels); ("taint", list taint r.taint_hits);
+         ("leaks", list leak r.leaks) ]
       @ Option.fold ~none:[] ~some:(fun c -> [ ("conformance", conformance c) ]) conf))
 
 let to_dot manifests r =

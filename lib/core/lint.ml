@@ -58,16 +58,16 @@ let render_text ~file diags =
     diags;
   Buffer.contents buf
 
-let to_json ~file diags =
-  let s = summarize diags in
+let summary_json s =
   Lt_obs.Json.(
     Obj
-      [ ("file", Str file);
-        ( "summary",
-          Obj
-            [ ("errors", Int s.errors); ("warnings", Int s.warnings);
-              ("infos", Int s.infos) ] );
-        ("diagnostics", Arr (List.map Diagnostic.to_json diags)) ])
+      [ ("errors", Int s.errors); ("warnings", Int s.warnings); ("infos", Int s.infos) ])
+
+let to_json ~file diags =
+  Lt_obs.Json.(
+    Obj
+      [ ("file", Str file); ("summary", summary_json (summarize diags));
+        ("diagnostics", list Diagnostic.to_json diags) ])
 
 let catalogue () =
   List.map

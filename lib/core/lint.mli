@@ -33,6 +33,9 @@ val locate_all :
 
 val summarize : Diagnostic.t list -> summary
 
+(** [{"errors":..,"warnings":..,"infos":..}] *)
+val summary_json : summary -> Lt_obs.Json.t
+
 (** CI gate: at least one [Error]-severity diagnostic. *)
 val has_errors : Diagnostic.t list -> bool
 

@@ -510,37 +510,34 @@ let render_report_json r =
            ("requests", Int r.fc_requests); ("seed", Int r.fc_seed);
            ("ok", Int r.fc_ok); ("failed_excused", Int r.fc_failed_excused);
            ("failed_unexcused", Int r.fc_failed_unexcused);
-           ("kills", Arr (List.map (fun (i, h) -> Obj (at i "host" h)) r.fc_kills));
+           ("kills", list (fun (i, h) -> Obj (at i "host" h)) r.fc_kills);
            ( "partitions",
-             Arr
-               (List.map
-                  (fun (i, h, what) -> Obj (at i "host" h @ [ ("event", Str what) ]))
-                  r.fc_partition_events) );
+             list
+               (fun (i, h, what) -> Obj (at i "host" h @ [ ("event", Str what) ]))
+               r.fc_partition_events );
            ("epochs", ints r.fc_epochs); ("attests", ints r.fc_attests);
            ("attest_failures", Int r.fc_attest_failures);
            ("rogue_placements", Int r.fc_rogue_placements);
            ("placements", Obj (List.map (fun (c, h) -> (c, Str h)) r.fc_placements));
            ( "failovers",
-             Arr
-               (List.map
-                  (fun (c, h) -> Obj [ ("cluster", Str c); ("to", Str h) ])
-                  r.fc_failovers) );
+             list
+               (fun (c, h) -> Obj [ ("cluster", Str c); ("to", Str h) ])
+               r.fc_failovers );
            ("fenced", Int r.fc_fenced);
-           ("recovery_ticks", Arr (List.map (fun t -> Int t) r.fc_recovery_ticks));
+           ("recovery_ticks", list (fun t -> Int t) r.fc_recovery_ticks);
            ("recovery_median", Int (median r.fc_recovery_ticks));
            ("unplaced", strs r.fc_unplaced);
            ( "observed",
              Obj (List.map (fun (c, im) -> (c, Str (impact im))) r.fc_observed) );
            ( "radius_escapes",
-             Arr
-               (List.map
-                  (fun (c, got, allowed) ->
-                    Obj
-                      [ ("component", Str c); ("observed", Str (impact got));
-                        ("allowed", Str (allowance allowed)) ])
-                  r.fc_radius_escapes) );
+             list
+               (fun (c, got, allowed) ->
+                 Obj
+                   [ ("component", Str c); ("observed", Str (impact got));
+                     ("allowed", Str (allowance allowed)) ])
+               r.fc_radius_escapes );
            ( "violations",
-             Arr (List.map (fun (i, d) -> Obj (at i "detail" d)) r.fc_violation_detail) );
+             list (fun (i, d) -> Obj (at i "detail" d)) r.fc_violation_detail );
            ("unroutable", Int r.fc_unroutable); ("span_ticks", Int r.fc_span_ticks);
            ("contained", Bool (contained r));
            ("counters", Metrics.counters_json r.fc_counters) ]))

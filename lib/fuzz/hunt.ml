@@ -140,12 +140,12 @@ let render_json report =
       Obj
         [ ("engine", Str (engine_name e.e_engine)); ("cases", Int e.e_cases);
           ("shrink_steps", Int e.e_shrink_steps);
-          ("failures", Arr (List.map failure e.e_failures)) ]
+          ("failures", list failure e.e_failures) ]
     in
     to_string
       (Obj
          [ ("seed", Int (Int64.to_int report.r_seed)); ("clean", Bool (ok report));
-           ("engines", Arr (List.map engine report.r_engines)) ]))
+           ("engines", list engine report.r_engines) ]))
   ^ "\n"
 
 let replay (repro : Repro.t) =

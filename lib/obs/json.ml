@@ -52,4 +52,6 @@ let to_string v =
 
 let opt f = function None -> Null | Some x -> f x
 
-let strs xs = Arr (List.map (fun s -> Str s) xs)
+let list f xs = Arr (List.map f xs)
+
+let strs = list (fun s -> Str s)

@@ -27,5 +27,8 @@ val to_string : t -> string
 (** [opt f x] — [Null] for [None], [f v] for [Some v]. *)
 val opt : ('a -> t) -> 'a option -> t
 
+(** [list f xs] — [Arr (List.map f xs)]. *)
+val list : ('a -> t) -> 'a list -> t
+
 (** [strs xs] — an array of strings. *)
 val strs : string list -> t

@@ -443,7 +443,7 @@ let render_report_json r =
            ("seed", Int r.c_seed); ("ok", Int r.c_ok);
            ("failed_excused", Int r.c_failed_excused);
            ("failed_unexcused", Int r.c_failed_unexcused);
-           ("kills", Arr (List.map (fun (i, n) -> at i "component" n) r.c_kills));
+           ("kills", list (fun (i, n) -> at i "component" n) r.c_kills);
            ("flap_kills", Int r.c_flap_kills); ("backend_cuts", Int r.c_backend_cuts);
            ("recovered", Int r.c_recovered); ("clean", Int r.c_clean);
            ("oracle", Str r.c_oracle); ("secret_leak", Bool r.c_secret_leak);
@@ -456,8 +456,7 @@ let render_report_json r =
                   r.c_observed) );
            ("router_violations", Int r.c_router_violations);
            ("span_ticks", Int r.c_span_ticks);
-           ( "violations",
-             Arr (List.map (fun (i, d) -> at i "detail" d) r.c_violation_detail) );
+           ("violations", list (fun (i, d) -> at i "detail" d) r.c_violation_detail);
            ("contained", Bool (contained r));
            ("counters", Metrics.counters_json r.c_counters) ]))
   ^ "\n"

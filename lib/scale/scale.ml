@@ -441,25 +441,21 @@ let render_report_json r =
            ("ok", Int r.s_ok); ("degraded", Int r.s_degraded);
            ("errors", Int r.s_errors); ("throttled", Int r.s_throttled);
            ("refused", Int r.s_refused);
-           ("killed_shards", Arr (List.map (fun k -> Int k) r.s_killed_shards));
+           ("killed_shards", list (fun k -> Int k) r.s_killed_shards);
            ( "cross_domain_failures",
-             Arr
-               (List.map
-                  (fun (t, d) -> Obj [ ("tenant", Int t); ("detail", Str d) ])
-                  r.s_cross_domain_failures) );
+             list
+               (fun (t, d) -> Obj [ ("tenant", Int t); ("detail", Str d) ])
+               r.s_cross_domain_failures );
            ("contained", Bool (contained r)); ("forks", Int r.s_forks);
            ("restores", Int r.s_restores);
            ("counters", Metrics.counters_json r.s_counters);
            ( "tenants_detail",
-             Arr
-               (List.map
-                  (fun tr ->
-                    Obj
-                      [ ("tenant", Int tr.tr_tenant); ("shard", Int tr.tr_shard);
-                        ("domain", Str (Manifest.trust_path_string tr.tr_domain));
-                        ("ok", Int tr.tr_ok); ("degraded", Int tr.tr_degraded);
-                        ("errors", Int tr.tr_errors);
-                        ("throttled", Int tr.tr_throttled);
-                        ("refused", Int tr.tr_refused);
-                        ("traffic", Str tr.tr_traffic) ])
-                  r.s_tenant_reports) ) ]))
+             list
+               (fun tr ->
+                 Obj
+                   [ ("tenant", Int tr.tr_tenant); ("shard", Int tr.tr_shard);
+                     ("domain", Str (Manifest.trust_path_string tr.tr_domain));
+                     ("ok", Int tr.tr_ok); ("degraded", Int tr.tr_degraded);
+                     ("errors", Int tr.tr_errors); ("throttled", Int tr.tr_throttled);
+                     ("refused", Int tr.tr_refused); ("traffic", Str tr.tr_traffic) ])
+               r.s_tenant_reports ) ]))

@@ -65,7 +65,8 @@ let create_enclave cpu ~name ~code ~epc_pages ~ecalls =
   let page = Mmu.page_size in
   match Frame_alloc.alloc_contiguous cpu.machine.Machine.dram_frames epc_pages with
   | Error Frame_alloc.Too_few -> invalid_arg "Sgx.create_enclave: out of EPC"
-  | Error Frame_alloc.Fragmented -> invalid_arg "Sgx.create_enclave: EPC fragmentation"
+  | Error Frame_alloc.Fragmented ->
+    invalid_arg "Sgx.create_enclave: EPC fragmentation"
   | Ok first ->
     let base = first * page in
     let size = epc_pages * page in
