@@ -24,20 +24,15 @@ let rom_stub = "tz-boot-rom: verify secure world image signature, then jump"
 
 let install machine ~secure_pages ~vendor_pub =
   let page = Mmu.page_size in
-  (match Frame_alloc.alloc_n machine.Machine.dram_frames secure_pages with
-   | None -> invalid_arg "Trustzone.install: not enough DRAM for secure world"
-   | Some frames ->
-     (* require a contiguous range for the protection controller *)
-     let sorted = List.sort Stdlib.compare frames in
-     let base = List.hd sorted * page in
+  (* the protection controller guards one contiguous range *)
+  (match Frame_alloc.alloc_contiguous machine.Machine.dram_frames secure_pages with
+   | Error Frame_alloc.Too_few ->
+     invalid_arg "Trustzone.install: not enough DRAM for secure world"
+   | Error Frame_alloc.Fragmented ->
+     invalid_arg "Trustzone.install: non-contiguous frames"
+   | Ok first ->
+     let base = first * page in
      let size = secure_pages * page in
-     let contiguous =
-       List.for_all2
-         (fun p i -> p = List.hd sorted + i)
-         sorted
-         (List.init secure_pages (fun i -> i))
-     in
-     if not contiguous then invalid_arg "Trustzone.install: non-contiguous frames";
      Bus.mark_secure machine.Machine.bus ~base ~size;
      Machine.load_rom machine ~off:0 rom_stub;
      { machine;

@@ -148,6 +148,32 @@ let test_no_mutual_isolation_in_secure_world () =
   Alcotest.(check bool) "compromised drm service reads payment keys" true
     (List.exists (fun (svc, _, v) -> svc = "payments" && v = "payment-key") leaked)
 
+(* an install refused for fragmented DRAM takes nothing: the free list
+   is exactly what it was *)
+let test_fragmented_install_frees_frames () =
+  let module Fa = Lt_hw.Frame_alloc in
+  let machine = Lt_hw.Machine.create ~dram_pages:16 () in
+  let frames = machine.Lt_hw.Machine.dram_frames in
+  let all =
+    match Fa.alloc_n frames (Fa.free_count frames) with
+    | Some all -> all
+    | None -> Alcotest.fail "cannot take every frame"
+  in
+  (* free two frames with a gap between them *)
+  Fa.free frames (List.nth all 0);
+  Fa.free frames (List.nth all 2);
+  let digest0 = Fa.state_digest frames in
+  let vendor = Rsa.generate ~bits:512 (Drbg.create 7L) in
+  Alcotest.(check bool) "fragmented install refused" true
+    (try
+       ignore (Trustzone.install machine ~secure_pages:2 ~vendor_pub:vendor.Rsa.pub);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "frames returned" 2 (Fa.free_count frames);
+  Alcotest.(check string) "free list unchanged"
+    (Lt_world.Digest64.to_hex digest0)
+    (Lt_world.Digest64.to_hex (Fa.state_digest frames))
+
 let suite =
   [ Alcotest.test_case "secure boot policy at install" `Quick test_boot_policy;
     Alcotest.test_case "services gated on boot" `Quick test_services_require_boot;
@@ -159,4 +185,6 @@ let suite =
     Alcotest.test_case "secure store roundtrip" `Quick test_store_load_roundtrip;
     Alcotest.test_case "software attestation with fused key" `Quick test_software_attestation;
     Alcotest.test_case "no mutual isolation inside secure world" `Quick
-      test_no_mutual_isolation_in_secure_world ]
+      test_no_mutual_isolation_in_secure_world;
+    Alcotest.test_case "fragmented install frees its frames" `Quick
+      test_fragmented_install_frees_frames ]
