@@ -247,15 +247,15 @@ let add_histograms_text buf hs =
         s.s_p95 s.s_p99 s.s_max)
     hs
 
-let counters_json cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
+let counters_json cs = Json.(Obj (List.map (fun (k, v) -> (k, Int v)) cs))
 
 let histograms_json hs =
-  Json.Obj
-    (List.map
-       (fun (k, s) ->
-         ( k,
-           Json.Obj
-             [ ("count", Json.Int s.s_count); ("sum", Json.Int s.s_sum);
-               ("p50", Json.Int s.s_p50); ("p95", Json.Int s.s_p95);
-               ("p99", Json.Int s.s_p99); ("max", Json.Int s.s_max) ] ))
-       hs)
+  Json.(
+    Obj
+      (List.map
+         (fun (k, s) ->
+           ( k,
+             Obj
+               [ ("count", Int s.s_count); ("sum", Int s.s_sum); ("p50", Int s.s_p50);
+                 ("p95", Int s.s_p95); ("p99", Int s.s_p99); ("max", Int s.s_max) ] ))
+         hs))
