@@ -147,7 +147,7 @@ let report ?trace format ~text ~json ~ok r =
 (* every manifest file joins ONE fleet: cross-file hazards (a target
    declared in another file, duplicate names across files) are
    first-class findings, not blind spots. Each unparseable file is
-   reported on stderr; [stop] ends the load at the first one. *)
+   reported on stderr. *)
 type fleet = {
   files : (string * Manifest_file.span list) list;  (** the parsed files *)
   manifests : Manifest.t list;
@@ -156,19 +156,17 @@ type fleet = {
   failed : bool;  (** some file did not parse *)
 }
 
-let load_fleet ?(stop = false) paths =
+let load_fleet paths =
   let failed = ref false in
   let loaded =
     List.filter_map
       (fun path ->
-        if stop && !failed then None
-        else
-          match Manifest_file.load_fleet_spanned path with
-          | Ok (spans, hosts) -> Some (path, spans, hosts)
-          | Error e ->
-            failed := true;
-            Printf.eprintf "%s: %s\n" path e;
-            None)
+        match Manifest_file.load_fleet_spanned path with
+        | Ok (spans, hosts) -> Some (path, spans, hosts)
+        | Error e ->
+          failed := true;
+          Printf.eprintf "%s: %s\n" path e;
+          None)
       paths
   in
   let files = List.map (fun (f, spans, _) -> (f, spans)) loaded in
@@ -390,7 +388,7 @@ let cmd_hunt seed budget engine format replays =
 
 (* --- analyze a user-provided manifest file --------------------------------------- *)
 
-let cmd_analyze file exploit path =
+let cmd_analyze file exploit =
   match Manifest_file.load file with
   | Error e ->
     (* unparseable input is a usage error (2), like lint and flow *)
@@ -428,23 +426,6 @@ let cmd_analyze file exploit path =
        let r = Analysis.compromise_reach app name in
        Printf.printf "\nexploiting %s: %s\n" name
          (Format.asprintf "%a" Analysis.pp_reach r));
-    (match path with
-     | None -> ()
-     | Some spec ->
-       (match String.split_on_char ':' spec with
-        | [ src; dst ] ->
-          let max_paths = 1000 in
-          let s = Analysis.paths ~max_paths app ~src ~dst in
-          Printf.printf "\nauthority paths %s -> %s: %d%s\n" src dst
-            (List.length s.Analysis.ps_paths)
-            (if s.Analysis.ps_truncated then
-               Printf.sprintf " (truncated at %d; use `lateral flow` for reachability)"
-                 max_paths
-             else "");
-          List.iter
-            (fun p -> Printf.printf "  %s\n" (String.concat " -> " p))
-            s.Analysis.ps_paths
-        | _ -> Printf.eprintf "expected --path SRC:DST\n"));
     let risks = Analysis.confused_deputy_risks app in
     Printf.printf "\nconfused deputy risks: %d\n" (List.length risks);
     List.iter
@@ -535,7 +516,7 @@ let cmd_check files deltas_file format verify =
       if format = Json then print_json (Lt_obs.Json.Arr []);
       2
     in
-    let fleet = load_fleet ~stop:true files in
+    let fleet = load_fleet files in
     let deltas =
       match deltas_file with
       | None -> Ok []
@@ -1038,17 +1019,11 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "exploit" ] ~docv:"COMPONENT" ~doc:"Show the blast radius of one exploit")
   in
-  let path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "path" ] ~docv:"SRC:DST" ~doc:"Enumerate authority paths")
-  in
   Cmd.v
     (Cmd.info "analyze" ~exits:std_exits
 
        ~doc:"Analyse a component architecture described in a manifest file")
-    Term.(const cmd_analyze $ file $ exploit $ path)
+    Term.(const cmd_analyze $ file $ exploit)
 
 let lint_cmd =
   let show_rules =

@@ -153,40 +153,6 @@ let domains app =
   Hashtbl.fold (fun d cs acc -> (d, List.sort compare cs) :: acc) tbl []
   |> List.sort compare
 
-type path_search = { ps_paths : string list list; ps_truncated : bool }
-
-let paths ?(max_paths = 1000) app ~src ~dst =
-  let mans = App.manifests app in
-  let find n = List.find_opt (fun m -> m.Manifest.name = n) mans in
-  let results = ref [] in
-  let count = ref 0 in
-  let truncated = ref false in
-  (* acyclic path enumeration is exponential on dense graphs; the cap
-     keeps the walk bounded, and the marker makes truncation explicit —
-     a capped search must not read as an exhaustive one *)
-  let rec walk visited name =
-    if !truncated then ()
-    else if name = dst then begin
-      if !count >= max_paths then truncated := true
-      else begin
-        incr count;
-        results := List.rev (name :: visited) :: !results
-      end
-    end
-    else
-      match find name with
-      | None -> ()
-      | Some m ->
-        List.iter
-          (fun c ->
-            let target = c.Manifest.target in
-            if not (List.mem target (name :: visited)) then
-              walk (name :: visited) target)
-          m.Manifest.connects_to
-  in
-  if max_paths > 0 && find src <> None then walk [] src;
-  { ps_paths = List.sort Stdlib.compare !results; ps_truncated = !truncated }
-
 let pp_reach fmt r =
   Format.fprintf fmt "owned=%d (%.0f%%) [%s]; authority=%.0f%%"
     (List.length r.owned)

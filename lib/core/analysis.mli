@@ -43,25 +43,4 @@ val attack_surface : App.t -> string -> int
 (** [domains app] groups components by protection domain. *)
 val domains : App.t -> (string * string list) list
 
-(** Result of {!paths}: the enumerated paths, plus an explicit marker
-    when the cap cut the search short — a truncated search must never
-    be mistaken for an exhaustive one. *)
-type path_search = {
-  ps_paths : string list list;  (** sorted; at most [max_paths] *)
-  ps_truncated : bool;
-      (** [true] iff at least one further path exists beyond the cap *)
-}
-
-(** [paths app ~src ~dst] enumerates acyclic authority paths from [src]
-    to [dst] along declared channels — "how could data possibly flow
-    from the renderer to the keystore?" Each path is the list of
-    component names visited, [src] first. Empty when [dst] is
-    unreachable, which is the verification a security review wants.
-
-    Enumeration stops after [max_paths] paths (default 1000): acyclic
-    path counts are exponential in dense graphs. [ps_truncated] reports
-    whether the cap was hit — reachability and flow questions should
-    then use {!Flow.analyze}, which is linear. *)
-val paths : ?max_paths:int -> App.t -> src:string -> dst:string -> path_search
-
 val pp_reach : Format.formatter -> reach -> unit

@@ -162,48 +162,6 @@ let test_attack_surface_and_domains () =
   Alcotest.(check int) "one domain when vertical" 1
     (List.length (Analysis.domains vertical))
 
-let test_paths () =
-  let app = build_app ~vertical:false in
-  (* the ui reaches tls through imap, directly or via the composer *)
-  Alcotest.(check (list (list string))) "ui -> tls"
-    [ [ "ui"; "composer"; "imap"; "tls" ]; [ "ui"; "imap"; "tls" ] ]
-    (Analysis.paths app ~src:"ui" ~dst:"tls").Analysis.ps_paths;
-  (* the renderer reaches nothing: no outbound channels *)
-  Alcotest.(check (list (list string))) "renderer -> tls unreachable" []
-    (Analysis.paths app ~src:"renderer" ~dst:"tls").Analysis.ps_paths;
-  (* trivial path to self *)
-  Alcotest.(check (list (list string))) "self" [ [ "tls" ] ]
-    (Analysis.paths app ~src:"tls" ~dst:"tls").Analysis.ps_paths;
-  (* cyclic graphs terminate *)
-  let cyc = App.create () in
-  App.add_stub cyc
-    (Manifest.v ~name:"a" ~provides:[ "s" ] ~connects_to:[ Manifest.conn "b" "s" ] ());
-  App.add_stub cyc
-    (Manifest.v ~name:"b" ~provides:[ "s" ] ~connects_to:[ Manifest.conn "a" "s" ] ());
-  Alcotest.(check (list (list string))) "cycle" [ [ "a"; "b" ] ]
-    (Analysis.paths cyc ~src:"a" ~dst:"b").Analysis.ps_paths
-
-let test_paths_truncation () =
-  let app = build_app ~vertical:false in
-  (* two ui -> tls paths exist: a cap of 2 is exhaustive, 1 is not *)
-  let exact = Analysis.paths ~max_paths:2 app ~src:"ui" ~dst:"tls" in
-  Alcotest.(check bool) "cap equal to path count is not truncated" false
-    exact.Analysis.ps_truncated;
-  Alcotest.(check int) "both paths kept" 2 (List.length exact.Analysis.ps_paths);
-  let cut = Analysis.paths ~max_paths:1 app ~src:"ui" ~dst:"tls" in
-  Alcotest.(check bool) "cap below path count is truncated" true
-    cut.Analysis.ps_truncated;
-  (* the survivor is the first path in discovery order — the DFS walks
-     the ui's declared channels in manifest order, and imap comes
-     before composer — not an arbitrary one *)
-  Alcotest.(check (list (list string))) "first discovered path survives"
-    [ [ "ui"; "imap"; "tls" ] ]
-    cut.Analysis.ps_paths;
-  (* an unreachable destination is exhaustive, never truncated *)
-  let none = Analysis.paths ~max_paths:1 app ~src:"renderer" ~dst:"tls" in
-  Alcotest.(check bool) "unreachable is not truncated" false
-    none.Analysis.ps_truncated
-
 let test_live_behaviour_chain () =
   (* real behaviours calling through ctx, subject to the same checks *)
   let app = App.create () in
@@ -321,9 +279,6 @@ let suite =
     Alcotest.test_case "tcb handles cycles" `Quick test_tcb_cycles;
     Alcotest.test_case "confused deputy detector" `Quick test_confused_deputy_detector;
     Alcotest.test_case "attack surface & domains" `Quick test_attack_surface_and_domains;
-    Alcotest.test_case "authority path enumeration" `Quick test_paths;
-    Alcotest.test_case "path enumeration truncation is explicit" `Quick
-      test_paths_truncation;
     Alcotest.test_case "live behaviours chained through ctx" `Quick
       test_live_behaviour_chain;
     Alcotest.test_case "behaviour crash surfaces as error" `Quick

@@ -3,7 +3,12 @@
    errors (and check --verify divergence), 125 = internal errors.
    Runs the real binary so the convention cannot drift from the docs. *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "lateral_cli.exe")
+(* the build tree this binary sits in (<build>/test/test_main.exe): the
+   CLI and the fixtures resolve from it, whatever the working directory *)
+let in_build path =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) path
+
+let exe = Filename.quote (in_build "bin/lateral_cli.exe")
 
 let run args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" exe args)
@@ -11,15 +16,17 @@ let run args =
 let check_exit name expected args =
   Alcotest.(check int) name expected (run args)
 
-(* [output args] — the exit code and stdout of one invocation *)
-let output args =
+(* [output ~stream args] — the exit code and the stdout (or, with
+   [~stream:2], the stderr) of one invocation *)
+let output ?(stream = 1) args =
   let out = Filename.temp_file "lateral_cli" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
       let code =
         Sys.command
-          (Printf.sprintf "%s %s >%s 2>/dev/null" exe args (Filename.quote out))
+          (Printf.sprintf "%s %s >/dev/null 2>/dev/null %d>%s" exe args stream
+             (Filename.quote out))
       in
       (code, In_channel.with_open_bin out In_channel.input_all))
 
@@ -30,9 +37,9 @@ let with_temp content f =
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let clean = "../examples/clean.manifest"
+let clean = in_build "examples/clean.manifest"
 
-let broken = "../examples/broken.manifest"
+let broken = in_build "examples/broken.manifest"
 
 let storm_manifest =
   {|component scheduler
@@ -77,6 +84,14 @@ let test_check_deltas () =
       check_exit "check rejects a malformed delta script" 2
         (Printf.sprintf "check %s --deltas %s" clean bad))
 
+(* like lint, flow and contain, check names every unparseable file *)
+let test_check_reports_every_bad_file () =
+  with_temp "component a\n  bogus-field x\n" (fun bad ->
+      let code, err = output ~stream:2 (Printf.sprintf "check %s %s" bad bad) in
+      Alcotest.(check int) "exit 2" 2 code;
+      Alcotest.(check int) "one stderr line per file" 2
+        (List.length (String.split_on_char '\n' (String.trim err))))
+
 (* a --format json input error still leaves one JSON document on
    stdout: the empty report list *)
 let test_json_input_errors () =
@@ -119,6 +134,8 @@ let suite =
       test_analysis_commands;
     Alcotest.test_case "check rejects bad delta scripts" `Quick
       test_check_deltas;
+    Alcotest.test_case "check reports every unparseable file" `Quick
+      test_check_reports_every_bad_file;
     Alcotest.test_case "json input errors print an empty list" `Quick
       test_json_input_errors;
     Alcotest.test_case "contain verdict and witness codes" `Quick

@@ -35,7 +35,7 @@ let prop_round_trip =
     (QCheck.make ~print:Json.to_string gen_value)
     (fun v -> Json_ref.parse (Json.to_string v) = Ok (Json_ref.of_json v))
 
-let examples = "../examples/"
+let examples = Test_cli.in_build "examples/"
 
 (* every JSON surface of the CLI on a real run, plus the trace files *)
 let test_reports_are_json () =
