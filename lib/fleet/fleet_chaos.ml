@@ -1,7 +1,5 @@
 open Lt_crypto
 open Lateral
-module Trace = Lt_obs.Trace
-module Metrics = Lt_obs.Metrics
 module Json = Lt_obs.Json
 
 type partition_spec = {
@@ -20,11 +18,7 @@ type report = {
   fc_rogue : string list;
   fc_requests : int;
   fc_seed : int;
-  fc_ok : int;
-  fc_failed_excused : int;
-  fc_failed_unexcused : int;
-  fc_violation_detail : (int * string) list;
-  fc_kills : (int * string) list;
+  fc_outcome : Fault_schedule.outcome;
   fc_partition_events : (int * string * string) list;
   fc_epochs : (string * int) list;
   fc_attests : (string * int) list;
@@ -35,11 +29,8 @@ type report = {
   fc_failovers : (string * string) list;
   fc_recovery_ticks : int list;
   fc_unplaced : string list;
-  fc_observed : (string * Contain.impact) list;
   fc_radius_escapes : (string * Contain.impact * Contain.impact option) list;
   fc_unroutable : int;
-  fc_counters : (string * int) list;
-  fc_span_ticks : int;
 }
 
 let impact = Contain.impact_to_string
@@ -47,7 +38,7 @@ let impact = Contain.impact_to_string
 let allowance = Option.fold ~none:"untouched" ~some:impact
 
 let contained r =
-  r.fc_failed_unexcused = 0 && r.fc_rogue_placements = 0
+  r.fc_outcome.failed_unexcused = 0 && r.fc_rogue_placements = 0
   && r.fc_radius_escapes = []
 
 (* --- the built-in scenario ------------------------------------------------- *)
@@ -216,10 +207,10 @@ let load_repro path =
 (* --- the run ---------------------------------------------------------------- *)
 
 let run ?(config = Fleet.default_config) ?(plan = no_chaos) ?(rogue = [])
-    ?(trace_capacity = 65536) ~hosts ~requests ~seed () =
+    ?trace_capacity ~hosts ~requests ~seed () =
   if hosts < 1 then Error "a fleet needs at least one host"
   else if requests < 0 then Error "requests must be non-negative"
-  else begin
+  else
     let names = host_names hosts in
     match validate_plan plan ~names ~rogue with
     | Error _ as e -> e
@@ -236,199 +227,123 @@ let run ?(config = Fleet.default_config) ?(plan = no_chaos) ?(rogue = [])
       (* harness entropy is a separate stream from the fleet's, like the
          component chaos harness (seed vs seed + 1) *)
       let hrng = Drbg.create (Int64.of_int (seed + 1)) in
-      let tracer = Trace.create ~capacity:trace_capacity () in
-      let metrics = Metrics.create () in
-      let result = ref (Error "fleet run did not start") in
-      Metrics.with_metrics metrics (fun () ->
-          Trace.with_tracer tracer (fun () ->
-              match
-                Fleet.create ~config ~seed:(Int64.of_int seed) ~hosts:specs
-                  ~components ()
-              with
-              | Error e -> result := Error e
-              | Ok fleet ->
-                (match Fleet.place_all fleet with
-                 | Error e -> result := Error e
-                 | Ok () ->
-                   let cluster_of =
-                     let tbl = Hashtbl.create 8 in
-                     List.iter
-                       (fun (id, members) ->
-                         List.iter (fun m -> Hashtbl.replace tbl m id) members)
-                       (Fleet.clusters fleet);
-                     tbl
-                   in
-                   let schedule =
-                     List.map
-                       (fun h -> (1 + Drbg.int hrng (max requests 1), h))
-                       plan.kill_hosts
-                   in
-                   let ok = ref 0 and excused = ref 0 and unexcused = ref 0 in
-                   let violation_detail = ref [] in
-                   let kills = ref [] and part_events = ref [] in
-                   let degraded = Hashtbl.create 8 in
-                   (* components resident on a host at the instant it was
-                      killed or cut: the roots the static radii are read
-                      for *)
-                   let roots = Hashtbl.create 8 in
-                   let cut_hosts = Hashtbl.create 4 in
-                   let collect_roots host =
-                     List.iter
-                       (fun (id, members) ->
-                         if Fleet.owner fleet id = Some host then
-                           List.iter (fun m -> Hashtbl.replace roots m ()) members)
-                       (Fleet.clusters fleet)
-                   in
-                   for i = 1 to requests do
-                     Trace.set_trace i;
-                     List.iter
-                       (fun (at, host) ->
-                         if at = i then begin
-                           collect_roots host;
-                           ignore (Fleet.kill_host fleet host);
-                           kills := (i, host) :: !kills
-                         end)
-                       schedule;
-                     List.iter
-                       (fun p ->
-                         if p.pt_from = i then begin
-                           collect_roots p.pt_host;
-                           Fleet.partition fleet ~host:p.pt_host ~asym:p.pt_asym ();
-                           Hashtbl.replace cut_hosts p.pt_host ();
-                           part_events :=
-                             (i, p.pt_host, if p.pt_asym then "cut-asym" else "cut")
-                             :: !part_events
-                         end;
-                         if p.pt_heal = i then begin
-                           Fleet.heal fleet ~host:p.pt_host;
-                           Hashtbl.remove cut_hosts p.pt_host;
-                           part_events := (i, p.pt_host, "heal") :: !part_events
-                         end)
-                       plan.partitions;
-                     let target, service, payload =
-                       match Drbg.int hrng 3 with
-                       | 0 -> ("gate", "ingress", Printf.sprintf "req-%d" i)
-                       | 1 -> ("vault", "seal", Printf.sprintf "secret-%d" i)
-                       | _ -> ("audit", "log", Printf.sprintf "evt-%d" i)
-                     in
-                     let cluster = Hashtbl.find cluster_of target in
-                     let owner_before = Fleet.owner fleet cluster in
-                     let hurt_before =
-                       match owner_before with
-                       | None -> true
-                       | Some h ->
-                         (not (Fleet.host_alive fleet h))
-                         || Hashtbl.mem cut_hosts h
-                     in
-                     let r =
-                       Trace.with_span ~kind:"request"
-                         ~name:(Trace.span_name target service)
-                         ~attrs:[ ("request", string_of_int i) ]
-                         (fun () ->
-                           match
-                             Fleet.call fleet ~target ~service payload
-                           with
-                           | Ok _ as r -> r
-                           | Error e ->
-                             Trace.fail_span e;
-                             Error e)
-                     in
-                     match r with
-                     | Ok _ ->
-                       incr ok;
-                       Metrics.incr "fleet_chaos/ok"
-                     | Error e ->
-                       let owner_after = Fleet.owner fleet cluster in
-                       let excusable =
-                         hurt_before || owner_after <> owner_before
-                         || owner_after = None
-                         || List.mem cluster (Fleet.unplaced fleet)
-                       in
-                       if excusable then begin
-                         incr excused;
-                         Metrics.incr "fleet_chaos/failed_excused";
-                         List.iter
-                           (fun (id, members) ->
-                             if id = cluster then
-                               List.iter
-                                 (fun m -> Hashtbl.replace degraded m ())
-                                 members)
-                           (Fleet.clusters fleet)
-                       end
-                       else begin
-                         incr unexcused;
-                         Metrics.incr "fleet_chaos/failed_unexcused";
-                         violation_detail :=
-                           ( i,
-                             Printf.sprintf
-                               "%s.%s failed with its host healthy: %s" target
-                               service e )
-                           :: !violation_detail
-                       end
-                   done;
-                   (* end-of-run reconcile: reconnect healed hosts (which
-                      fences stale instances) and re-home orphans *)
-                   Fleet.sweep fleet;
-                   let failed_over = Fleet.failed_over_clusters fleet in
-                   let observed =
-                     List.filter_map
-                       (fun m ->
-                         let c = m.Manifest.name in
-                         let cluster = Hashtbl.find cluster_of c in
-                         if List.mem cluster (Fleet.unplaced fleet) then
-                           Some (c, Contain.Failed)
-                         else if List.mem cluster failed_over then
-                           Some (c, Contain.Restarted)
-                         else if Hashtbl.mem degraded c then
-                           Some (c, Contain.Degraded)
-                         else None)
-                       manifests
-                     |> List.sort compare
-                   in
-                   (* each resident root counts once, however many of
-                      its hosts went down: no repeat-kill license, a
-                      failover must stay inside the radius *)
-                   let escapes =
-                     Contain.escapes (Contain.analyze manifests)
-                       ~killed:(Hashtbl.fold (fun c () acc -> (c, 1) :: acc) roots [])
-                       observed
-                   in
-                   let placements =
-                     List.filter_map
-                       (fun (id, _) ->
-                         Option.map (fun h -> (id, h)) (Fleet.owner fleet id))
-                       (Fleet.clusters fleet)
-                     |> List.sort compare
-                   in
-                   result :=
-                     Ok
-                       { fc_hosts = hosts;
-                         fc_rogue = List.sort compare rogue;
-                         fc_requests = requests;
-                         fc_seed = seed;
-                         fc_ok = !ok;
-                         fc_failed_excused = !excused;
-                         fc_failed_unexcused = !unexcused;
-                         fc_violation_detail = List.rev !violation_detail;
-                         fc_kills = List.rev !kills;
-                         fc_partition_events = List.rev !part_events;
-                         fc_epochs = Fleet.host_epochs fleet;
-                         fc_attests = Fleet.host_attests fleet;
-                         fc_attest_failures = Fleet.attest_failures fleet;
-                         fc_rogue_placements = Fleet.rogue_placements fleet;
-                         fc_fenced = Fleet.fenced fleet;
-                         fc_placements = placements;
-                         fc_failovers = Fleet.failovers fleet;
-                         fc_recovery_ticks = Fleet.recovery_ticks fleet;
-                         fc_unplaced = Fleet.unplaced fleet;
-                         fc_observed = observed;
-                         fc_radius_escapes = escapes;
-                         fc_unroutable =
-                           Lt_net.Net.unroutable_count (Fleet.net fleet);
-                         fc_counters = Metrics.counters metrics;
-                         fc_span_ticks = Trace.now tracer })));
-      match !result with Error _ as e -> e | Ok r -> Ok (r, tracer)
-  end
+      let run = Fault_schedule.create ?trace_capacity ~prefix:"fleet_chaos" () in
+      let audit fleet =
+        let clusters = Fleet.clusters fleet in
+        let cluster_of c = fst (List.find (fun (_, ms) -> List.mem c ms) clusters) in
+        let part_events = ref [] in
+        (* components resident on a host at the instant it was killed or
+           cut: the roots the static radii are read for *)
+        let roots = Hashtbl.create 8 and cut_hosts = Hashtbl.create 4 in
+        let collect_roots host =
+          List.iter
+            (fun (id, ms) ->
+              if Fleet.owner fleet id = Some host then
+                List.iter (fun m -> Hashtbl.replace roots m ()) ms)
+            clusters
+        in
+        let step i due =
+          List.iter
+            (fun host ->
+              collect_roots host;
+              ignore (Fleet.kill_host fleet host);
+              Fault_schedule.kill run i host)
+            due;
+          List.iter
+            (fun p ->
+              if p.pt_from = i then begin
+                collect_roots p.pt_host;
+                Fleet.partition fleet ~host:p.pt_host ~asym:p.pt_asym ();
+                Hashtbl.replace cut_hosts p.pt_host ();
+                part_events :=
+                  (i, p.pt_host, if p.pt_asym then "cut-asym" else "cut") :: !part_events
+              end;
+              if p.pt_heal = i then begin
+                Fleet.heal fleet ~host:p.pt_host;
+                Hashtbl.remove cut_hosts p.pt_host;
+                part_events := (i, p.pt_host, "heal") :: !part_events
+              end)
+            plan.partitions;
+          let target, service, payload =
+            match Drbg.int hrng 3 with
+            | 0 -> ("gate", "ingress", Printf.sprintf "req-%d" i)
+            | 1 -> ("vault", "seal", Printf.sprintf "secret-%d" i)
+            | _ -> ("audit", "log", Printf.sprintf "evt-%d" i)
+          in
+          let cluster = cluster_of target in
+          let owner_before = Fleet.owner fleet cluster in
+          let hurt_before =
+            match owner_before with
+            | None -> true
+            | Some h -> (not (Fleet.host_alive fleet h)) || Hashtbl.mem cut_hosts h
+          in
+          let r =
+            Fault_schedule.request ~detail:Fun.id ~target ~service i (fun () ->
+                Fleet.call fleet ~target ~service payload)
+          in
+          Fault_schedule.settle run i r
+            ~excused:(fun _ ->
+              let owner_after = Fleet.owner fleet cluster in
+              let excusable =
+                hurt_before || owner_after <> owner_before || owner_after = None
+                || List.mem cluster (Fleet.unplaced fleet)
+              in
+              if excusable then
+                List.iter (Fault_schedule.degrade run) (List.assoc cluster clusters);
+              excusable)
+            ~violation:(Printf.sprintf "%s.%s failed with its host healthy: %s" target service)
+        in
+        Fault_schedule.each hrng ~requests plan.kill_hosts step;
+        (* end-of-run reconcile: reconnect healed hosts (which fences
+           stale instances) and re-home orphans *)
+        Fleet.sweep fleet;
+        let failed_over = Fleet.failed_over_clusters fleet in
+        let outcome =
+          Fault_schedule.outcome run
+            ~components:(List.map (fun m -> m.Manifest.name) manifests)
+            (fun c ->
+              let cluster = cluster_of c in
+              if List.mem cluster (Fleet.unplaced fleet) then Some Contain.Failed
+              else if List.mem cluster failed_over then Some Contain.Restarted
+              else None)
+        in
+        (* each resident root counts once, however many of its hosts went
+           down: no repeat-kill license, a failover must stay inside the
+           radius *)
+        let escapes =
+          Contain.escapes (Contain.analyze manifests)
+            ~killed:(Hashtbl.fold (fun c () acc -> (c, 1) :: acc) roots [])
+            outcome.observed
+        in
+        let placements =
+          List.filter_map
+            (fun (id, _) -> Option.map (fun h -> (id, h)) (Fleet.owner fleet id))
+            clusters
+          |> List.sort compare
+        in
+        { fc_hosts = hosts;
+          fc_rogue = List.sort compare rogue;
+          fc_requests = requests;
+          fc_seed = seed;
+          fc_outcome = outcome;
+          fc_partition_events = List.rev !part_events;
+          fc_epochs = Fleet.host_epochs fleet;
+          fc_attests = Fleet.host_attests fleet;
+          fc_attest_failures = Fleet.attest_failures fleet;
+          fc_rogue_placements = Fleet.rogue_placements fleet;
+          fc_fenced = Fleet.fenced fleet;
+          fc_placements = placements;
+          fc_failovers = Fleet.failovers fleet;
+          fc_recovery_ticks = Fleet.recovery_ticks fleet;
+          fc_unplaced = Fleet.unplaced fleet;
+          fc_radius_escapes = escapes;
+          fc_unroutable = Lt_net.Net.unroutable_count (Fleet.net fleet) }
+      in
+      Fault_schedule.within run (fun () ->
+          Result.bind
+            (Fleet.create ~config ~seed:(Int64.of_int seed) ~hosts:specs ~components ())
+            (fun fleet -> Result.map (fun () -> audit fleet) (Fleet.place_all fleet)))
+      |> Result.map (fun r -> (r, Fault_schedule.tracer run))
 
 (* --- rendering --------------------------------------------------------------- *)
 
@@ -438,109 +353,72 @@ let median xs =
   | sorted -> List.nth sorted (List.length sorted / 2)
 
 let render_report_text r =
+  let o = r.fc_outcome in
   let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "lateral fleet: %d hosts, %d requests, seed %d%s\n" r.fc_hosts
-    r.fc_requests r.fc_seed
-    (if r.fc_rogue = [] then ""
-     else " (rogue: " ^ String.concat ", " r.fc_rogue ^ ")");
-  add "  ok %d, failed %d (excused %d, unexcused %d)\n" r.fc_ok
-    (r.fc_failed_excused + r.fc_failed_unexcused)
-    r.fc_failed_excused r.fc_failed_unexcused;
-  add "  host kills: %s\n"
-    (if r.fc_kills = [] then "-"
-     else
-       String.concat ", "
-         (List.map (fun (i, h) -> Printf.sprintf "%s@%d" h i) r.fc_kills));
+  let add fmt = Printf.bprintf buf fmt in
+  let joined = Fault_schedule.listing in
+  add "lateral fleet: %d hosts, %d requests, seed %d%s\n" r.fc_hosts r.fc_requests
+    r.fc_seed
+    (if r.fc_rogue = [] then "" else " (rogue: " ^ String.concat ", " r.fc_rogue ^ ")");
+  Fault_schedule.add_tally buf o;
+  add "  host kills: %s\n" (Fault_schedule.kill_log o);
   add "  partitions: %s\n"
-    (if r.fc_partition_events = [] then "-"
-     else
-       String.concat ", "
-         (List.map
-            (fun (i, h, what) -> Printf.sprintf "%s %s@%d" h what i)
-            r.fc_partition_events));
+    (joined (fun (i, h, what) -> Printf.sprintf "%s %s@%d" h what i) r.fc_partition_events);
   add "  epochs: %s; attest failures %d; rogue placements %d\n"
-    (String.concat ", "
-       (List.map (fun (h, n) -> Printf.sprintf "%s %d" h n) r.fc_epochs))
+    (String.concat ", " (List.map (fun (h, n) -> Printf.sprintf "%s %d" h n) r.fc_epochs))
     r.fc_attest_failures r.fc_rogue_placements;
-  add "  placements: %s\n"
-    (if r.fc_placements = [] then "-"
-     else
-       String.concat ", "
-         (List.map
-            (fun (c, h) -> Printf.sprintf "%s->%s" c h)
-            r.fc_placements));
-  add "  failovers: %s; fenced %d; unplaced: %s\n"
-    (if r.fc_failovers = [] then "-"
-     else
-       String.concat ", "
-         (List.map (fun (c, h) -> Printf.sprintf "%s->%s" c h) r.fc_failovers))
-    r.fc_fenced
-    (if r.fc_unplaced = [] then "-" else String.concat ", " r.fc_unplaced);
+  let arrow (c, h) = c ^ "->" ^ h in
+  add "  placements: %s\n" (joined arrow r.fc_placements);
+  add "  failovers: %s; fenced %d; unplaced: %s\n" (joined arrow r.fc_failovers)
+    r.fc_fenced (joined Fun.id r.fc_unplaced);
   add "  recovery ticks: %s (median %d)\n"
-    (if r.fc_recovery_ticks = [] then "-"
-     else String.concat ", " (List.map string_of_int r.fc_recovery_ticks))
+    (joined string_of_int r.fc_recovery_ticks)
     (median r.fc_recovery_ticks);
-  add "  observed radius: %s\n"
-    (if r.fc_observed = [] then "-"
-     else
-       String.concat ", "
-         (List.map (fun (c, im) -> Printf.sprintf "%s %s" c (impact im)) r.fc_observed));
+  Fault_schedule.add_observed buf o;
   List.iter
     (fun (c, got, allowed) ->
       add "  RADIUS ESCAPE: %s observed %s, statically allowed %s\n" c (impact got)
         (allowance allowed))
     r.fc_radius_escapes;
-  List.iter
-    (fun (i, detail) ->
-      add "  CONTAINMENT VIOLATION at request %d: %s\n" i detail)
-    r.fc_violation_detail;
-  add "  unroutable packets: %d; ticks: %d\n" r.fc_unroutable r.fc_span_ticks;
-  Metrics.add_counters_text buf r.fc_counters;
-  add "verdict: %s\n" (if contained r then "contained" else "NOT CONTAINED");
+  Fault_schedule.add_violations buf o;
+  add "  unroutable packets: %d; ticks: %d\n" r.fc_unroutable o.span_ticks;
+  Fault_schedule.add_verdict buf o ~contained:(contained r);
   Buffer.contents buf
 
 let render_report_json r =
+  let o = r.fc_outcome in
   Json.(
     let ints l = Obj (List.map (fun (h, n) -> (h, Int n)) l) in
-    let at i field v = [ ("at", Int i); (field, Str v) ] in
     to_string
       (Obj
-         [ ("hosts", Int r.fc_hosts); ("rogue", strs r.fc_rogue);
-           ("requests", Int r.fc_requests); ("seed", Int r.fc_seed);
-           ("ok", Int r.fc_ok); ("failed_excused", Int r.fc_failed_excused);
-           ("failed_unexcused", Int r.fc_failed_unexcused);
-           ("kills", list (fun (i, h) -> Obj (at i "host" h)) r.fc_kills);
-           ( "partitions",
-             list
-               (fun (i, h, what) -> Obj (at i "host" h @ [ ("event", Str what) ]))
-               r.fc_partition_events );
-           ("epochs", ints r.fc_epochs); ("attests", ints r.fc_attests);
-           ("attest_failures", Int r.fc_attest_failures);
-           ("rogue_placements", Int r.fc_rogue_placements);
-           ("placements", Obj (List.map (fun (c, h) -> (c, Str h)) r.fc_placements));
-           ( "failovers",
-             list
-               (fun (c, h) -> Obj [ ("cluster", Str c); ("to", Str h) ])
-               r.fc_failovers );
-           ("fenced", Int r.fc_fenced);
-           ("recovery_ticks", list (fun t -> Int t) r.fc_recovery_ticks);
-           ("recovery_median", Int (median r.fc_recovery_ticks));
-           ("unplaced", strs r.fc_unplaced);
-           ( "observed",
-             Obj (List.map (fun (c, im) -> (c, Str (impact im))) r.fc_observed) );
-           ( "radius_escapes",
-             list
-               (fun (c, got, allowed) ->
-                 Obj
-                   [ ("component", Str c); ("observed", Str (impact got));
-                     ("allowed", Str (allowance allowed)) ])
-               r.fc_radius_escapes );
-           ( "violations",
-             list (fun (i, d) -> Obj (at i "detail" d)) r.fc_violation_detail );
-           ("unroutable", Int r.fc_unroutable); ("span_ticks", Int r.fc_span_ticks);
-           ("contained", Bool (contained r));
-           ("counters", Metrics.counters_json r.fc_counters) ]))
+         ([ ("hosts", Int r.fc_hosts); ("rogue", strs r.fc_rogue);
+            ("requests", Int r.fc_requests); ("seed", Int r.fc_seed) ]
+          @ Fault_schedule.json_tally o ~killed:"host"
+          @ [ ( "partitions",
+                list
+                  (fun (i, h, what) ->
+                    Obj [ ("at", Int i); ("host", Str h); ("event", Str what) ])
+                  r.fc_partition_events );
+              ("epochs", ints r.fc_epochs); ("attests", ints r.fc_attests);
+              ("attest_failures", Int r.fc_attest_failures);
+              ("rogue_placements", Int r.fc_rogue_placements);
+              ("placements", Obj (List.map (fun (c, h) -> (c, Str h)) r.fc_placements));
+              ( "failovers",
+                list (fun (c, h) -> Obj [ ("cluster", Str c); ("to", Str h) ]) r.fc_failovers );
+              ("fenced", Int r.fc_fenced);
+              ("recovery_ticks", list (fun t -> Int t) r.fc_recovery_ticks);
+              ("recovery_median", Int (median r.fc_recovery_ticks));
+              ("unplaced", strs r.fc_unplaced); Fault_schedule.json_observed o;
+              ( "radius_escapes",
+                list
+                  (fun (c, got, allowed) ->
+                    Obj
+                      [ ("component", Str c); ("observed", Str (impact got));
+                        ("allowed", Str (allowance allowed)) ])
+                  r.fc_radius_escapes );
+              Fault_schedule.json_violations o; ("unroutable", Int r.fc_unroutable);
+              ("span_ticks", Int o.span_ticks) ]
+          @ Fault_schedule.json_verdict o ~contained:(contained r))))
   ^ "\n"
 
 (* --- shard kills --------------------------------------------------------------- *)
@@ -582,27 +460,25 @@ let shard_kill_audit ~shards ~kill (r : report) =
       | Ok k ->
         if not (List.mem k kill) then
           err "host %s killed at %d is not in a killed shard" h i)
-    r.fc_kills;
+    r.fc_outcome.kills;
   (* clusters that were resident on a dead host are exactly those that
      had to move (failovers) or ended the run homeless *)
   let touched =
     List.sort_uniq compare
       (List.map fst r.fc_failovers @ r.fc_unplaced)
   in
-  let cluster_of =
-    let tbl = Hashtbl.create 8 in
-    List.iter
+  let cluster_of c =
+    List.find_map
       (fun (id, ms) ->
-        List.iter (fun m -> Hashtbl.replace tbl m.Manifest.name id) ms)
-      (Fleet.cluster_partition (List.map fst (scenario_components ())));
-    tbl
+        if List.exists (fun m -> m.Manifest.name = c) ms then Some id else None)
+      (Fleet.cluster_partition (List.map fst (scenario_components ())))
   in
   let domain_set =
     String.concat ", " (List.map (Printf.sprintf "shard-%d") kill)
   in
   List.iter
     (fun (c, imp) ->
-      match Hashtbl.find_opt cluster_of c with
+      match cluster_of c with
       | None -> err "observed component %s is not in the scenario" c
       | Some cluster ->
         if not (List.mem cluster touched) then
@@ -610,7 +486,7 @@ let shard_kill_audit ~shards ~kill (r : report) =
             "observed radius escapes the killed shards' domain set {%s}: \
              %s (%s) never lived on a killed host"
             domain_set c (impact imp))
-    r.fc_observed;
+    r.fc_outcome.observed;
   List.iter
     (fun (c, imp, allowed) ->
       err "static radius escape: %s observed %s, allowed %s" c (impact imp)

@@ -51,13 +51,11 @@ type report = {
   fc_rogue : string list;
   fc_requests : int;
   fc_seed : int;
-  fc_ok : int;
-  fc_failed_excused : int;
-      (** failed while the target's cluster was on a killed, partitioned
-          or failing-over host — the expected cost of the injected fault *)
-  fc_failed_unexcused : int;  (** containment violations *)
-  fc_violation_detail : (int * string) list;
-  fc_kills : (int * string) list;  (** request instant, host *)
+  fc_outcome : Fault_schedule.outcome;
+      (** the tally, the kill log (request instant, host) and the
+          observed radius. A failure is excused while the target's
+          cluster was on a killed, partitioned or failing-over host —
+          the expected cost of the injected fault. *)
   fc_partition_events : (int * string * string) list;
       (** request instant, host, ["cut"] / ["cut-asym"] / ["heal"] *)
   fc_epochs : (string * int) list;
@@ -70,17 +68,12 @@ type report = {
   fc_recovery_ticks : int list;
       (** per completed failover — what BENCH_fleet gates its median on *)
   fc_unplaced : string list;
-  fc_observed : (string * Contain.impact) list;
-      (** dynamic blast radius: worst observed impact per component;
-          untouched components are absent *)
   fc_radius_escapes : (string * Contain.impact * Contain.impact option) list;
       (** {!Lateral.Contain.escapes} of the observed radius against the
           roots resident on a killed or cut host (each counted once):
           component, observed impact, statically allowed impact ([None]
           = untouched) — any entry means observed ⊄ predicted *)
   fc_unroutable : int;  (** packets sent into a void mailbox *)
-  fc_counters : (string * int) list;
-  fc_span_ticks : int;
 }
 
 (** No unexcused failures, no rogue placements, observed ⊆ static. *)

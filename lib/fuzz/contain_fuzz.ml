@@ -269,7 +269,7 @@ let check_dynamic spec =
           in
           let killed = Chaos.killed plan report in
           (match
-             Contain.escapes (Contain.analyze ms) ~killed report.Chaos.c_observed
+             Contain.escapes (Contain.analyze ms) ~killed report.Chaos.c_outcome.observed
            with
            | [] -> Ok ()
            | (y, obs, _) :: _ ->

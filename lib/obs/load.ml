@@ -571,18 +571,10 @@ let run ?(faults = no_faults) ?(trace_capacity = 65536) ~scenario ~requests ~see
                    | _ -> ());
                   Metrics.incr "load/requests";
                   let r =
-                    Trace.with_span ~kind:"request"
-                      ~name:(target ^ "." ^ service)
-                      ~attrs:[ ("request", string_of_int i) ]
+                    Fault_schedule.request ~detail:Fun.id ~target ~service i
                       (fun () ->
-                        match
-                          Deploy.call dep.d_deploy ~caller:None ~target ~service
-                            payload
-                        with
-                        | Ok r -> Ok r
-                        | Error e ->
-                          Trace.fail_span e;
-                          Error e)
+                        Deploy.call dep.d_deploy ~caller:None ~target ~service
+                          payload)
                   in
                   (match r with
                    | Ok reply when has_prefix ~prefix:"rate-limited" reply ->

@@ -47,11 +47,16 @@ type report = {
   c_scenario : string;
   c_requests : int;
   c_seed : int;
-  c_ok : int;
-  c_failed_excused : int;    (** failed with an injected fault or dead slice *)
-  c_failed_unexcused : int;  (** containment violations *)
-  c_violation_detail : (int * string) list;  (** request, what escaped *)
-  c_kills : (int * string) list;  (** request instant, component *)
+  c_outcome : Lateral.Fault_schedule.outcome;
+      (** the tally, the kill log (request instant, component or
+          ["legacy_os"]) and the observed radius. A failure is excused
+          when the run injected a fault into the request, a component
+          of its route was dead or given up, or its breaker was open.
+          The observed impacts are [Degraded] (requests failed on a dead
+          or breaker-shed slice), [Restarted] and [Failed] (dead or
+          given up at end of run). {!Lateral.Contain.escapes} holds the
+          radius inside the static prediction for the {!killed}
+          components. *)
   c_flap_kills : int;
   c_backend_cuts : int;
   c_recovered : int;         (** power cuts recovered via the redo journal *)
@@ -60,16 +65,7 @@ type report = {
   c_secret_leak : bool;
   c_restarts : (string * int) list;  (** per component, components with > 0 *)
   c_given_up : string list;
-  c_observed : (string * Lateral.Contain.impact) list;
-      (** the dynamic blast radius: worst impact each component was
-          observed to suffer ([Degraded] — its requests failed on a
-          dead or breaker-shed slice, [Restarted], [Failed] — dead or
-          given up at end of run), sorted by name; untouched components
-          are absent. {!Lateral.Contain.escapes} holds this inside the
-          static prediction for the {!killed} components. *)
   c_router_violations : int;
-  c_counters : (string * int) list;
-  c_span_ticks : int;
 }
 
 (** [contained r] — no unexcused failure, oracle intact, no leak. *)
@@ -87,17 +83,17 @@ val session :
   scenario:Lt_load.Load.scenario -> seed:int -> unit ->
   (session, string) result
 
-(** [run ~scenario ~requests ~seed ()] — deploys the scenario, layers a
-    {!Supervisor} over it and replays [requests] chaos-perturbed
-    requests. Returns the report plus the tracer (for export), or an
-    error when the deployment cannot boot or the plan names unknown
-    components.
+(** [run ~scenario ~requests ~seed ()] — rewinds a session (a fresh
+    one unless [?session] is given), layers a {!Supervisor} over it and
+    replays [requests] chaos-perturbed requests on the
+    {!Lateral.Fault_schedule}. Returns the report plus the tracer (for
+    export), or an error when the deployment cannot boot or the plan
+    names unknown components.
 
-    With [?session] the deployment is skipped: the session's world is
-    restored to its pristine fork and the saved rng mark replayed, so
-    the report is byte-identical to a sessionless run — provided the
-    session was built for the {e same} scenario and seed (anything else
-    is an error). *)
+    A given session's world is restored to its pristine fork and the
+    saved rng mark replayed, so the report is byte-identical to a run
+    on a fresh session — provided the session was built for the
+    {e same} scenario and seed (anything else is an error). *)
 val run :
   ?session:session ->
   ?plan:plan -> ?supervisor:Supervisor.config -> ?trace_capacity:int ->

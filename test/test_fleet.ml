@@ -41,7 +41,7 @@ let test_chaos_contained () =
   | Error e -> Alcotest.fail e
   | Ok (r, _) ->
     Alcotest.(check bool) "contained" true (Fleet_chaos.contained r);
-    Alcotest.(check int) "no unexcused failures" 0 r.Fleet_chaos.fc_failed_unexcused;
+    Alcotest.(check int) "no unexcused failures" 0 r.Fleet_chaos.fc_outcome.failed_unexcused;
     Alcotest.(check int) "rogue host got zero placements" 0
       r.Fleet_chaos.fc_rogue_placements;
     Alcotest.(check int) "observed radius inside static prediction" 0

@@ -262,7 +262,7 @@ let test_chaos_mail_power_cut_contained () =
     Alcotest.(check bool) "no secret escaped to the legacy stack" false
       r.Chaos.c_secret_leak;
     Alcotest.(check int) "every failure excused by an injected fault" 0
-      r.Chaos.c_failed_unexcused;
+      r.Chaos.c_outcome.failed_unexcused;
     Alcotest.(check bool) "contained" true (Chaos.contained r)
 
 let test_chaos_flap_opens_breaker () =
@@ -276,9 +276,9 @@ let test_chaos_flap_opens_breaker () =
     Alcotest.(check bool) "flapping drove the restart budget to give-up" true
       (List.mem "renderer" r.Chaos.c_given_up);
     Alcotest.(check bool) "its route's breaker opened" true
-      (List.mem_assoc "resil/breaker_open" r.Chaos.c_counters);
+      (List.mem_assoc "resil/breaker_open" r.Chaos.c_outcome.counters);
     Alcotest.(check bool) "calls fast-failed while open" true
-      (List.mem_assoc "resil/breaker_fastfail" r.Chaos.c_counters);
+      (List.mem_assoc "resil/breaker_fastfail" r.Chaos.c_outcome.counters);
     Alcotest.(check bool) "yet the run stayed contained" true (Chaos.contained r)
 
 let test_chaos_rejects_bad_plans () =
@@ -357,7 +357,7 @@ let prop_observed_inside_static =
       | Error e -> QCheck.Test.fail_reportf "plan rejected: %s" e
       | Ok (r, _) ->
         let killed = Chaos.killed plan r in
-        (match Contain.escapes (static_radii scenario) ~killed r.Chaos.c_observed with
+        (match Contain.escapes (static_radii scenario) ~killed r.Chaos.c_outcome.observed with
          | [] -> true
          | (y, obs, allowed) :: _ ->
            QCheck.Test.fail_reportf "observed %s on %s, static allows %s (kills [%s])"
