@@ -19,7 +19,8 @@ type t = {
   metrics : Metrics.t;
   prefix : string;
   degraded : (string, unit) Hashtbl.t;
-  mutable so_far : outcome;  (* violations and kills newest first *)
+  mutable so_far : outcome;
+      (* violations and kills newest first; [outcome] fills in the rest *)
 }
 
 let create ?(trace_capacity = 65536) ~prefix () =
