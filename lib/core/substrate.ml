@@ -255,7 +255,7 @@ module Kit = struct
       snap_layers = [] }
 
   (* the dead-set and the per-launch KV tables, plus whatever else the
-     adapter holds (invoke counters, facilities caches, tile cursors) *)
+     adapter holds (facilities caches, memory and tile cursors) *)
   let layer kit ~name ?(extra_take = []) ?(extra_digest = fun d -> d) () =
     Snap.make ~name
       ~take:(fun () ->

@@ -26,10 +26,10 @@ let make rng ~size () =
      handed out again. Sealed blobs survive because the seal key is
      derived from the measurement, which a relaunch reproduces. *)
   let launch ~name ~code ~services =
-    Substrate.Kit.revive kit name;
     if !next_off + compartment_bytes > Cheri.length root then
       Error "cheri: out of compartment memory"
     else begin
+      Substrate.Kit.revive kit name;
       let region =
         Cheri.derive root ~off:!next_off ~len:compartment_bytes
           ~perms:{ Cheri.load = true; store = true }

@@ -36,20 +36,29 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
       Substrate.Kit.quote ~substrate:"microkernel+tpm" ~cert:(Tpm.ek_cert tpm)
         (fun body -> Tpm.ak_sign tpm ~body)
   in
-  let invoke_counter = ref 0 in
   let launch ~name ~code ~services =
     let measurement = measure_code code in
     (match tpm with
      | Some tpm -> Tpm.extend tpm boot_pcr measurement
      | None -> ());
+    let refused () = Error (Printf.sprintf "launch %s: out of physical frames" name) in
+    (* a refused launch takes nothing: no task, no id *)
+    if Kernel.free_frames k < store_pages then refused ()
+    else
     let task = Kernel.create_task k ~name ~partition:name in
     match Kernel.map_memory k task ~vpage:0 ~pages:store_pages Lt_hw.Mmu.rw with
-    | Error Kernel.Out_of_frames ->
-      Error (Printf.sprintf "launch %s: out of physical frames" name)
+    | Error Kernel.Out_of_frames -> refused ()
     | Ok () ->
+    (* the component's one client: every hop calls from this task through
+       this cap, so the badge names the caller and the kernel holds the
+       same tasks on the millionth call as on the first *)
+    let client_task = Kernel.create_task k ~name:(name ^ ".client") ~partition:name in
     let endpoint = Kernel.create_endpoint k ~name:(name ^ ".ep") in
     let recv_cap =
       Kernel.grant k task endpoint ~rights:{ send = false; recv = true } ~badge:0
+    in
+    let send_cap =
+      Kernel.grant k client_task endpoint ~rights:{ send = true; recv = false } ~badge:1
     in
     (* persist the store into the task's own pages: plain DRAM, which is
        what makes the physical-attack experiment interesting *)
@@ -87,18 +96,8 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
     let server_tid = Kernel.create_thread k task ~name:(name ^ ".srv") ~prio:5 server in
     Substrate.Kit.revive kit name;
     let hop ~fn arg =
-      incr invoke_counter;
-      let client_task =
-        Kernel.create_task k
-          ~name:("client" ^ string_of_int !invoke_counter)
-          ~partition:(Kernel.task_partition task)
-      in
-      let send_cap =
-        Kernel.grant k client_task endpoint
-          ~rights:{ send = true; recv = false } ~badge:!invoke_counter
-      in
       let result = ref (Error (Substrate.Fault "component did not reply")) in
-      let _ =
+      let call =
         Kernel.create_thread k client_task ~name:"call" ~prio:5 (fun () ->
             let r = User.call ~cap:send_cap (Sys.msg (Wire.encode [ fn; arg ])) in
             result := Substrate.Kit.reply r.Sys.payload)
@@ -113,6 +112,9 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
           ()
       end;
       ignore (Kernel.run k);
+      (* a call left waiting on a killed server stays: only an exited
+         call thread is reaped *)
+      Kernel.reap k call;
       !result
     in
     (* crash = the server thread is killed where it stands; any in-flight
@@ -132,10 +134,6 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
   t.Substrate.snap_layers <-
     [ Lt_hw.Machine.layer machine;
       Kernel.layer k;
-      Substrate.Kit.layer kit ~name:"substrate:microkernel"
-        ~extra_take:
-          [ (fun () -> Lt_world.Snapshottable.save_ref invoke_counter) ]
-        ~extra_digest:(fun d -> Lt_world.Digest64.int d !invoke_counter)
-        () ]
+      Substrate.Kit.layer kit ~name:"substrate:microkernel" () ]
     @ (match tpm with Some tpm -> [ Tpm.layer tpm ] | None -> []);
   (t, k)

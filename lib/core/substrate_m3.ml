@@ -28,9 +28,9 @@ let make rng ~ca_name ~ca_key ~tiles () =
      A relaunch gets a fresh tile with an empty scratchpad but the same
      measurement-derived seal key. *)
   let launch ~name ~code ~services =
-    Substrate.Kit.revive kit name;
     if !next_tile >= tiles then Error "m3: no free compute tile"
     else begin
+      Substrate.Kit.revive kit name;
       let tile = !next_tile in
       incr next_tile;
       let measurement = measure_code code in

@@ -136,6 +136,8 @@ let map_memory k task ~vpage ~pages perm =
 
 let task_frames task = List.sort_uniq Stdlib.compare task.frames
 
+let free_frames k = Frame_alloc.free_count k.mach.Machine.dram_frames
+
 let create_endpoint k ~name =
   let ep =
     { ep_id = fresh_id k;
@@ -571,6 +573,18 @@ let thread_alive k tid =
   | exception Not_found -> false
 
 let thread_crash k tid = List.assoc_opt tid k.crashes
+
+let thread_count k = Hashtbl.length k.threads
+
+(* drop an exited thread: the scheduler scans, snapshots and digests
+   then cost the live threads, not every thread ever run *)
+let reap k tid =
+  match Hashtbl.find_opt k.threads tid with
+  | Some th when th.state = Dead ->
+    Hashtbl.remove k.threads tid;
+    k.thread_order <- List.filter (fun t -> t != th) k.thread_order;
+    k.ready <- List.filter (fun t -> t != th) k.ready
+  | Some _ | None -> ()
 
 let kill_thread k tid =
   match Hashtbl.find_opt k.threads tid with

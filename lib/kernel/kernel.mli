@@ -64,6 +64,10 @@ val map_memory :
   t -> task -> vpage:int -> pages:int -> Lt_hw.Mmu.perm ->
   (unit, map_error) result
 
+(** [free_frames t] — DRAM frames still free: a caller that must not
+    leave a half-built task behind checks it before {!create_task}. *)
+val free_frames : t -> int
+
 (** [task_frames t task] lists physical pages mapped into the task, for
     isolation assertions. *)
 val task_frames : task -> int list
@@ -112,6 +116,18 @@ val thread_alive : t -> int -> bool
 (** [thread_crash t tid] is the exception that killed the thread, if it
     died by an uncaught exception (component crash / fault injection). *)
 val thread_crash : t -> int -> exn option
+
+(** [thread_count t] — threads the kernel still holds: the live ones
+    plus the exited ones nobody {!reap}ed. *)
+val thread_count : t -> int
+
+(** [reap t tid] forgets an exited thread: it leaves the thread table,
+    the creation order and the ready queue, so the scheduler's scans and
+    the snapshot and digest folds no longer visit it. It acts only on a
+    [Dead] thread (exited, crashed or killed); on a live or unknown tid
+    it does nothing. Afterwards [thread_alive t tid] is [false] and
+    [thread_ticks t tid] is [0]; {!thread_crash} still answers. *)
+val reap : t -> int -> unit
 
 (** [kill_thread t tid] forcibly terminates a thread (component
     teardown). Safe on already-dead threads. *)

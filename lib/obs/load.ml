@@ -78,6 +78,8 @@ type deployed = {
      harness state — as one forkable world; chaos sessions fork it once
      and rewind per schedule instead of redeploying *)
   d_world : Lt_world.World.t;
+  (* the kernel under the microkernel substrate, for steady-state checks *)
+  d_kernel : Lt_kernel.Kernel.t;
 }
 
 (* a dead dependency cascades as a typed fault carrying the true origin
@@ -230,7 +232,7 @@ let make_mail_storage () =
 let deploy_mail rng =
   let ca = Rsa.generate ~bits:512 rng in
   let m1 = Lt_hw.Machine.create ~dram_pages:512 () in
-  let mk, _ =
+  let mk, kernel =
     Substrate_kernel.make m1 (Lt_kernel.Sched.Round_robin { quantum = 500 }) ()
   in
   let m2 = Lt_hw.Machine.create ~dram_pages:128 () in
@@ -333,6 +335,7 @@ let deploy_mail rng =
     Ok
       { d_deploy = d;
         d_world = Deploy.world ~extra:[ storage_layer; harness_layer ] d;
+        d_kernel = kernel;
         d_mix =
           (fun rng i ->
             if Drbg.int rng 100 < 60 then
@@ -354,7 +357,7 @@ let deploy_meter rng =
   let ca = Rsa.generate ~bits:512 rng in
   let tz_vendor = Rsa.generate ~bits:512 rng in
   let m1 = Lt_hw.Machine.create ~dram_pages:512 () in
-  let mk, _ =
+  let mk, kernel =
     Substrate_kernel.make m1 (Lt_kernel.Sched.Round_robin { quantum = 500 }) ()
   in
   let m2 = Lt_hw.Machine.create ~dram_pages:64 () in
@@ -451,6 +454,7 @@ let deploy_meter rng =
        Ok
          { d_deploy = d;
            d_world = Deploy.world ~extra:[ harness_layer ] d;
+           d_kernel = kernel;
            d_mix = (fun _rng i -> ("collector", "poll", Printf.sprintf "poll-%d" i));
            d_probe = (Some "meter", "anonymizer", "ingest");
            d_routes =
@@ -463,7 +467,7 @@ let deploy_meter rng =
 let deploy_cloud rng =
   let ca = Rsa.generate ~bits:512 rng in
   let m1 = Lt_hw.Machine.create ~dram_pages:512 () in
-  let mk, _ =
+  let mk, kernel =
     Substrate_kernel.make m1 (Lt_kernel.Sched.Round_robin { quantum = 500 }) ()
   in
   let m2 = Lt_hw.Machine.create ~dram_pages:256 () in
@@ -496,6 +500,7 @@ let deploy_cloud rng =
     Ok
       { d_deploy = d;
         d_world = Deploy.world d;
+        d_kernel = kernel;
         d_mix = (fun _rng i -> ("host", "submit", Printf.sprintf "job-%d" i));
         d_probe = (None, "enclave", "ecall");
         d_routes = [ ("host", "submit", [ "host"; "enclave" ]) ];
@@ -522,7 +527,8 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let run ?(faults = no_faults) ?(trace_capacity = 65536) ~scenario ~requests ~seed () =
+let run ?(faults = no_faults) ?(trace_capacity = 65536) ?(on_deploy = ignore)
+    ~scenario ~requests ~seed () =
   if requests < 0 then Error "requests must be non-negative"
   else if faults.drop_pct < 0 || faults.delay_pct < 0 || faults.compromise_pct < 0
           || faults.drop_pct + faults.delay_pct + faults.compromise_pct > 100
@@ -533,6 +539,7 @@ let run ?(faults = no_faults) ?(trace_capacity = 65536) ~scenario ~requests ~see
     match deploy_scenario deploy_rng scenario with
     | Error e -> Error e
     | Ok dep ->
+      on_deploy dep;
       let tracer = Trace.create ~capacity:trace_capacity () in
       let metrics = Metrics.create () in
       let ok = ref 0 and degraded = ref 0 and errors = ref 0 in

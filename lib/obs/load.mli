@@ -68,6 +68,9 @@ type deployed = {
       (** the whole booted deployment — substrates, control plane and
           scenario harness state — as one forkable world; fork once,
           rewind per chaos schedule instead of redeploying *)
+  d_kernel : Lt_kernel.Kernel.t;
+      (** the kernel under the scenario's microkernel substrate, whose
+          task and thread counts must not grow with the requests served *)
 }
 
 (** [deploy_scenario rng scenario] boots the scenario's substrates and
@@ -97,9 +100,10 @@ type report = {
 
 (** [run ~scenario ~requests ~seed ()] — returns the report plus the
     tracer (for export) or an error when the deployment cannot boot.
-    [trace_capacity] bounds the span ring (default 65536). *)
+    [trace_capacity] bounds the span ring (default 65536); [on_deploy]
+    sees the booted deployment before the first request. *)
 val run :
-  ?faults:fault_plan -> ?trace_capacity:int ->
+  ?faults:fault_plan -> ?trace_capacity:int -> ?on_deploy:(deployed -> unit) ->
   scenario:scenario -> requests:int -> seed:int -> unit ->
   (report * Lt_obs.Trace.t, string) result
 

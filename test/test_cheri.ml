@@ -130,6 +130,24 @@ let test_out_of_memory () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "should be out of compartment memory")
 
+(* regression: a refused relaunch must not revive the crashed instance *)
+let test_refused_relaunch_stays_crashed () =
+  let rng = Lt_crypto.Drbg.create 90L in
+  let t, _, _ = Lateral.Substrate_cheri.make rng ~size:8192 () in
+  let launch () =
+    t.Lateral.Substrate.launch ~name:"c" ~code:"c" ~services:[ ("f", fun _ x -> x) ]
+  in
+  match launch () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    t.Lateral.Substrate.crash c;
+    (match launch () with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.fail "relaunch should be out of compartment memory");
+    Alcotest.(check bool) "old instance stays dead" false (t.Lateral.Substrate.is_alive c);
+    Alcotest.check (answer c) "old instance answers Crashed"
+      (Error Lateral.Substrate.Crashed) (t.Lateral.Substrate.invoke c ~fn:"f" "x")
+
 let suite =
   [ Alcotest.test_case "load/store through capabilities" `Quick test_basic_load_store;
     Alcotest.test_case "bounds enforced" `Quick test_bounds_enforced;
@@ -137,4 +155,6 @@ let suite =
     Alcotest.test_case "sealing and invoke (CCall)" `Quick test_sealing_and_invoke;
     Alcotest.test_case "buffer overflow contained" `Quick test_overflow_containment;
     Alcotest.test_case "substrate adapter" `Quick test_substrate_adapter;
-    Alcotest.test_case "compartment memory exhausted" `Quick test_out_of_memory ]
+    Alcotest.test_case "compartment memory exhausted" `Quick test_out_of_memory;
+    Alcotest.test_case "refused relaunch stays crashed" `Quick
+      test_refused_relaunch_stays_crashed ]

@@ -91,7 +91,9 @@ let test_repro_roundtrip () =
   | Ok r -> Alcotest.(check bool) "roundtrips" true (r = repro)
 
 let test_corpus_repro_contained () =
-  match Fleet_chaos.load_repro "corpus/fleet_partition_asym.repro" with
+  match
+    Fleet_chaos.load_repro (Test_cli.in_build "test/corpus/fleet_partition_asym.repro")
+  with
   | Error e -> Alcotest.fail e
   | Ok rp ->
     (match

@@ -159,8 +159,10 @@ let test_replay_rejects_unknown_engine () =
 (* corpus: every checked-in reproducer stays fixed                   *)
 (* ---------------------------------------------------------------- *)
 
+let corpus = Test_cli.in_build "test/corpus"
+
 let corpus_files () =
-  Sys.readdir "corpus" |> Array.to_list
+  Sys.readdir corpus |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".repro")
   |> List.sort compare
 
@@ -184,7 +186,7 @@ let test_corpus_replays () =
   Alcotest.(check bool) "corpus is non-empty" true (files <> []);
   List.iter
     (fun f ->
-      let path = Filename.concat "corpus" f in
+      let path = Filename.concat corpus f in
       if String.length f >= 6 && String.sub f 0 6 = "fleet_" then
         replay_fleet_repro f path
       else

@@ -389,6 +389,82 @@ let test_step_limit () =
   let q = Kernel.run ~max_steps:100 k in
   Alcotest.(check bool) "stopped at limit" true (q = Kernel.Step_limit)
 
+let test_reap_only_dead () =
+  let k = make_kernel () in
+  let t = Kernel.create_task k ~name:"t" ~partition:"a" in
+  let spawn name body = Kernel.create_thread k t ~name ~prio:1 body in
+  let quick = spawn "quick" (fun () -> User.consume 1) in
+  let sleeper = spawn "sleeper" (fun () -> User.sleep 1_000) in
+  ignore (Kernel.run ~max_steps:2 k);
+  Kernel.reap k sleeper;
+  Alcotest.(check int) "a live thread is not reaped" 2 (Kernel.thread_count k);
+  Kernel.reap k quick;
+  Alcotest.(check int) "the exited thread is gone" 1 (Kernel.thread_count k);
+  Alcotest.(check bool) "and reads as not alive" false (Kernel.thread_alive k quick);
+  Alcotest.(check bool) "the sleeper still runs" true
+    (Kernel.run k = Kernel.Quiescent && not (Kernel.thread_alive k sleeper))
+
+(* --- the microkernel adapter: refused launches and steady state --------- *)
+
+let echo_services = [ ("echo", fun _ x -> x) ]
+
+let microkernel ~dram_pages =
+  Lateral.Substrate_kernel.make (Lt_hw.Machine.create ~dram_pages ())
+    (Sched.Round_robin { quantum = 500 }) ()
+
+let launch_ok sub name =
+  match sub.Lateral.Substrate.launch ~name ~code:name ~services:echo_services with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+(* regression: a launch refused for want of frames took a task and an id *)
+let test_refused_launch_takes_nothing () =
+  let sub, k = microkernel ~dram_pages:5 in
+  let rec fill i =
+    if Kernel.free_frames k >= 2 then begin
+      ignore (launch_ok sub (Printf.sprintf "c%d" i));
+      fill (i + 1)
+    end
+  in
+  fill 0;
+  let tasks = List.length (Kernel.tasks k) and digest = Kernel.state_digest k in
+  (match
+     sub.Lateral.Substrate.launch ~name:"late" ~code:"late" ~services:echo_services
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "launch should be out of frames");
+  Alcotest.(check int) "no task left behind" tasks (List.length (Kernel.tasks k));
+  Alcotest.(check bool) "kernel digest unchanged" true (Kernel.state_digest k = digest)
+
+let counts k = (List.length (Kernel.tasks k), Kernel.thread_count k)
+
+let test_hops_hold_steady () =
+  let after n =
+    let sub, k = microkernel ~dram_pages:16 in
+    let c = launch_ok sub "echo" in
+    for _ = 1 to n do
+      ignore (sub.Lateral.Substrate.invoke c ~fn:"echo" "x")
+    done;
+    counts k
+  in
+  let ten = after 10 in
+  Alcotest.(check (pair int int)) "server and client tasks, the server thread" (2, 1) ten;
+  Alcotest.(check (pair int int)) "1,000 hops hold what 10 held" ten (after 1_000)
+
+let test_load_run_holds_steady () =
+  let after requests =
+    let kernel = ref None in
+    match
+      Lt_load.Load.run
+        ~on_deploy:(fun d -> kernel := Some d.Lt_load.Load.d_kernel)
+        ~scenario:Lt_load.Load.Mail ~requests ~seed:7 ()
+    with
+    | Error e -> Alcotest.fail e
+    | Ok _ -> counts (Option.get !kernel)
+  in
+  Alcotest.(check (pair int int)) "tasks and threads after 250 and 1,000 requests"
+    (after 250) (after 1_000)
+
 let suite =
   [ Alcotest.test_case "ping-pong call/reply with badge" `Quick test_ping_pong;
     Alcotest.test_case "send/recv in either order" `Quick test_send_recv_order_independent;
@@ -408,4 +484,10 @@ let suite =
     Alcotest.test_case "TDMA slots are exclusive" `Quick test_tdma_partition_exclusive;
     Alcotest.test_case "round robin starvation-free" `Quick test_round_robin_no_starvation;
     Alcotest.test_case "fixed priority can starve" `Quick test_fixed_priority_can_starve;
-    Alcotest.test_case "run stops at step limit" `Quick test_step_limit ]
+    Alcotest.test_case "run stops at step limit" `Quick test_step_limit;
+    Alcotest.test_case "reap drops only exited threads" `Quick test_reap_only_dead;
+    Alcotest.test_case "refused launch takes nothing" `Quick
+      test_refused_launch_takes_nothing;
+    Alcotest.test_case "1,000 hops hold the kernel steady" `Quick test_hops_hold_steady;
+    Alcotest.test_case "a mail load run holds the kernel steady" `Quick
+      test_load_run_holds_steady ]

@@ -125,6 +125,26 @@ let test_substrate_adapter_conformance_bits () =
     in
     Alcotest.(check bool) "tile pool exhausts" true (exhaust 0 <= 3)
 
+(* regression: a refused relaunch must not revive the crashed instance *)
+let test_refused_relaunch_stays_crashed () =
+  let rng = Lt_crypto.Drbg.create 98L in
+  let ca = Lt_crypto.Rsa.generate ~bits:512 rng in
+  (* tile 0 is the kernel tile: two tiles hold one component *)
+  let t, _chip = Lateral.Substrate_m3.make rng ~ca_name:"mfg" ~ca_key:ca ~tiles:2 () in
+  let launch () =
+    t.Lateral.Substrate.launch ~name:"w" ~code:"w1" ~services:[ ("f", fun _ x -> x) ]
+  in
+  match launch () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    t.Lateral.Substrate.crash c;
+    (match launch () with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.fail "relaunch should find no free compute tile");
+    Alcotest.(check bool) "old instance stays dead" false (t.Lateral.Substrate.is_alive c);
+    Alcotest.check (answer c) "old instance answers Crashed"
+      (Error Lateral.Substrate.Crashed) (t.Lateral.Substrate.invoke c ~fn:"f" "x")
+
 let suite =
   [ Alcotest.test_case "kernel wires channels" `Quick test_kernel_configures_channels;
     Alcotest.test_case "only the kernel configures DTUs" `Quick test_only_kernel_configures;
@@ -135,4 +155,6 @@ let suite =
     Alcotest.test_case "scratchpads are on-chip private" `Quick test_scratchpad_private;
     Alcotest.test_case "program measurements recorded" `Quick test_measurement_recorded;
     Alcotest.test_case "m3 substrate adapter" `Quick
-      test_substrate_adapter_conformance_bits ]
+      test_substrate_adapter_conformance_bits;
+    Alcotest.test_case "refused relaunch stays crashed" `Quick
+      test_refused_relaunch_stays_crashed ]
