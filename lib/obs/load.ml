@@ -527,8 +527,7 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let run ?(faults = no_faults) ?(trace_capacity = 65536) ?(on_deploy = ignore)
-    ~scenario ~requests ~seed () =
+let run ?(faults = no_faults) ?(trace_capacity = 65536) ~scenario ~requests ~seed () =
   if requests < 0 then Error "requests must be non-negative"
   else if faults.drop_pct < 0 || faults.delay_pct < 0 || faults.compromise_pct < 0
           || faults.drop_pct + faults.delay_pct + faults.compromise_pct > 100
@@ -539,7 +538,6 @@ let run ?(faults = no_faults) ?(trace_capacity = 65536) ?(on_deploy = ignore)
     match deploy_scenario deploy_rng scenario with
     | Error e -> Error e
     | Ok dep ->
-      on_deploy dep;
       let tracer = Trace.create ~capacity:trace_capacity () in
       let metrics = Metrics.create () in
       let ok = ref 0 and degraded = ref 0 and errors = ref 0 in

@@ -100,10 +100,9 @@ type report = {
 
 (** [run ~scenario ~requests ~seed ()] — returns the report plus the
     tracer (for export) or an error when the deployment cannot boot.
-    [trace_capacity] bounds the span ring (default 65536); [on_deploy]
-    sees the booted deployment before the first request. *)
+    [trace_capacity] bounds the span ring (default 65536). *)
 val run :
-  ?faults:fault_plan -> ?trace_capacity:int -> ?on_deploy:(deployed -> unit) ->
+  ?faults:fault_plan -> ?trace_capacity:int ->
   scenario:scenario -> requests:int -> seed:int -> unit ->
   (report * Lt_obs.Trace.t, string) result
 

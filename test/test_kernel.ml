@@ -453,14 +453,17 @@ let test_hops_hold_steady () =
 
 let test_load_run_holds_steady () =
   let after requests =
-    let kernel = ref None in
-    match
-      Lt_load.Load.run
-        ~on_deploy:(fun d -> kernel := Some d.Lt_load.Load.d_kernel)
-        ~scenario:Lt_load.Load.Mail ~requests ~seed:7 ()
-    with
+    match Lt_load.Load.deploy_scenario (Lt_crypto.Drbg.create 7L) Lt_load.Load.Mail with
     | Error e -> Alcotest.fail e
-    | Ok _ -> counts (Option.get !kernel)
+    | Ok d ->
+      let rng = Lt_crypto.Drbg.create 8L in
+      for i = 1 to requests do
+        let target, service, payload = d.Lt_load.Load.d_mix rng i in
+        ignore
+          (Lateral.Deploy.call d.Lt_load.Load.d_deploy ~caller:None ~target ~service
+             payload)
+      done;
+      counts d.Lt_load.Load.d_kernel
   in
   Alcotest.(check (pair int int)) "tasks and threads after 250 and 1,000 requests"
     (after 250) (after 1_000)
